@@ -8,8 +8,18 @@ Pass one (hospitals offer): while some hospital's vacancies can absorb
 its whole active tie, the tie's residents are provisionally pulled in
 (breaking their previous provisional assignments) and every hospital a
 pulled resident ranks strictly below the offering one is cut from its
-list. The active tie is the tie immediately after a hospital's least
-preferred current assignee, or its first tie while it has no assignees.
+list. The active tie is the first nonempty tie after a hospital's least
+preferred current assignee, or its first nonempty tie while it has no
+assignees. Each round offers from the lowest-index eligible hospital (with
+a shuffle seed: a seeded choice among the eligible hospitals in index
+order). The pass keeps every eligible hospital's active tie and, after an
+offer, re-derives it only for the hospitals that round changed: the
+offering one and those that lost a pair, which include the previous
+hospitals of the residents it pulled in. Ties keep their original
+positions, so a hospital's active tie is found from the largest tie
+position among its assignees. A round costs O(n2) to select the offering
+hospital plus, for each hospital it changed, that hospital's assignee
+count and the emptied ties it skips.
 
 Pass two (residents apply): free residents apply down their lists; once
 a hospital has at least as many provisional assignees as capacity, every
@@ -44,7 +54,11 @@ def _require_strict_residents(instance: Instance) -> None:
 
 
 class _WorkingInstance:
-    """Mutable preference structure shared by both passes."""
+    """Mutable preference structure shared by both passes.
+
+    A hospital's ties keep their original positions: a tie that deletions
+    empty stays in place until `to_instance` drops it.
+    """
 
     def __init__(self, instance: Instance):
         self.caps = [h.capacity for h in instance.hospitals]
@@ -52,17 +66,16 @@ class _WorkingInstance:
         self.hosp_groups = [
             [list(g) for g in h.preferences.groups] for h in instance.hospitals
         ]
+        # hospital index -> resident -> position of its tie on that hospital's list
+        self.tie_of = [
+            {r: idx for idx, group in enumerate(groups) for r in group}
+            for groups in self.hosp_groups
+        ]
         self.deleted: set[Pair] = set()
 
     def delete_pair(self, resident: int, hospital: int) -> None:
         self.res_lists[resident - 1].remove(hospital)
-        groups = self.hosp_groups[hospital - 1]
-        for idx, group in enumerate(groups):
-            if resident in group:
-                group.remove(resident)
-                if not group:
-                    del groups[idx]
-                break
+        self.hosp_groups[hospital - 1][self.tie_of[hospital - 1][resident]].remove(resident)
         self.deleted.add((resident, hospital))
 
     def successors_on_resident_list(self, resident: int, hospital: int) -> list[int]:
@@ -73,22 +86,20 @@ class _WorkingInstance:
         return Instance(
             residents=tuple(PreferenceList.strict(lst) for lst in self.res_lists),
             hospitals=tuple(
-                Hospital(c, PreferenceList(tuple(tuple(g) for g in groups)))
+                Hospital(c, PreferenceList(tuple(tuple(g) for g in groups if g)))
                 for c, groups in zip(self.caps, self.hosp_groups)
             ),
         )
 
 
 def _active_tie(work: _WorkingInstance, hospital: int, assignees: set[int]) -> list[int]:
-    """The tie just after the least preferred current assignee (first tie if none)."""
+    """The first nonempty tie after the least preferred assignee's (from the top if none)."""
     groups = work.hosp_groups[hospital - 1]
-    last = -1
-    for idx, group in enumerate(groups):
-        if any(r in assignees for r in group):
-            last = idx
-    if last + 1 >= len(groups):
-        return []
-    return list(groups[last + 1])
+    tie_of = work.tie_of[hospital - 1]
+    for idx in range(max((tie_of[r] for r in assignees), default=-1) + 1, len(groups)):
+        if groups[idx]:
+            return groups[idx]
+    return []
 
 
 def hospitals_offer(
@@ -98,24 +109,29 @@ def hospitals_offer(
     _require_strict_residents(instance)
     work = _WorkingInstance(instance)
     rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
-    n2 = instance.n2
 
     assigned: dict[int, int] = {}
-    assignees: list[set[int]] = [set() for _ in range(n2)]
+    assignees: list[set[int]] = [set() for _ in range(instance.n2)]
     vacancies = list(work.caps)
+    offers: dict[int, list[int]] = {}  # eligible hospital -> its active tie
 
-    while True:
-        eligible = []
-        ties = {}
-        for j in range(1, n2 + 1):
-            tie = _active_tie(work, j, assignees[j - 1])
-            if 0 < len(tie) <= vacancies[j - 1]:
-                eligible.append(j)
-                ties[j] = tie
-        if not eligible:
-            return work.to_instance(), work.deleted
-        j = rng.choice(eligible) if rng else eligible[0]
-        for r in ties[j]:
+    def refresh(j: int) -> None:
+        tie = _active_tie(work, j, assignees[j - 1])
+        if 0 < len(tie) <= vacancies[j - 1]:
+            offers[j] = tie
+        else:
+            offers.pop(j, None)
+
+    for j in range(1, instance.n2 + 1):
+        refresh(j)
+    while offers:
+        j = rng.choice(sorted(offers)) if rng else min(offers)
+        changed = {j}
+        # Only hospitals below j on a resident's list lose pairs, so j's own
+        # tie stays intact while it is walked. A pulled resident's previous
+        # hospital is one of them: it lost every hospital below it when it
+        # took the resident, and j still lists the resident.
+        for r in offers[j]:
             previous = assigned.get(r)
             if previous is not None:
                 assignees[previous - 1].discard(r)
@@ -125,6 +141,10 @@ def hospitals_offer(
             vacancies[j - 1] -= 1
             for successor in work.successors_on_resident_list(r, j):
                 work.delete_pair(r, successor)
+                changed.add(successor)
+        for h in changed:
+            refresh(h)
+    return work.to_instance(), work.deleted
 
 
 def residents_apply(

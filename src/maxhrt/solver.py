@@ -52,7 +52,6 @@ class SolverInternalError(RuntimeError):
 class SolveOptions:
     time_limit: float = 300.0
     warm_start: Matching | None = None
-    lower_bound: int | None = None  # must be a valid bound on the optimum
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -207,7 +206,6 @@ class _Search:
 
         self.incumbent: Matching | None = None
         self.incumbent_size = -1
-        self.floor = -1
         # hospital suggested per resident by the latest relaxation solution;
         # diving along it tries to realize the bound, so that proving and
         # finding meet in the middle
@@ -228,12 +226,14 @@ class _Search:
                 continue
             if current != _UNFIXED:
                 return False
+            i = self.var_res[v]
+            # Fail before the write: _undo_to reverts every trailed 1 as a
+            # counted match, so a 1 must never be trailed uncounted.
+            if value == 1 and self.res_match[i] >= 0:
+                return False
             state[v] = value
             self.trail.append(v)
-            i = self.var_res[v]
             if value == 1:
-                if self.res_match[i] >= 0:
-                    return False
                 self.res_match[i] = v
                 self.total_ones += 1
                 j = self.var_hosp[v]
@@ -352,7 +352,7 @@ class _Search:
                 break
             if not self._fix_queue([(w, 1) for w in forced]):
                 return False
-        if zero_ok and self.total_ones > self.floor:
+        if zero_ok and self.total_ones > self.incumbent_size:
             self._store_incumbent()
         return True
 
@@ -370,8 +370,6 @@ class _Search:
             raise SolverInternalError("search produced an unstable incumbent")
         self.incumbent = matching
         self.incumbent_size = len(pairs)
-        if self.incumbent_size > self.floor:
-            self.floor = self.incumbent_size
 
     # -- bounding -----------------------------------------------------------
 
@@ -463,7 +461,7 @@ class _Search:
         if self.incumbent_size < root_bound:
             stack: list[list[int]] = []
             while True:
-                if self.floor >= root_bound:
+                if self.incumbent_size >= root_bound:
                     break  # incumbent meets the global relaxation: proven optimal
                 if time.monotonic() > deadline:
                     timed_out = True
@@ -472,9 +470,8 @@ class _Search:
                 expand = False
                 if v >= 0:
                     b0 = self._quick_bound()
-                    if b0 > self.floor and (
-                        b0 - self.floor > 2 or self._relaxation_bound() > self.floor
-                    ):
+                    best = self.incumbent_size
+                    if b0 > best and (b0 - best > 2 or self._relaxation_bound() > best):
                         expand = True
                 if expand:
                     stack.append([len(self.trail), v, 0])
@@ -530,9 +527,4 @@ def solve(model: IpModel, options: SolveOptions | None = None) -> SolveOutcome:
 
     search.incumbent = initial
     search.incumbent_size = matching_size(initial)
-    search.floor = search.incumbent_size
-    if options.lower_bound is not None:
-        if options.lower_bound > instance.n1:
-            raise ValueError("lower bound exceeds the resident count")
-        search.floor = max(search.floor, options.lower_bound)
     return search.run()

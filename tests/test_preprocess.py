@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from maxhrt.core import build_rank_table, is_blocking_pair
-from maxhrt.generator import GeneratorConfig, generate
+from maxhrt.core import Hospital, Instance, PreferenceList, build_rank_table, is_blocking_pair
+from maxhrt.generator import GeneratorConfig, generate, sfas_like
 from maxhrt.instance_io import parse_instance
 from maxhrt.oracle import OracleLimit, enumerate_stable_matchings
 from maxhrt.preprocess import (
@@ -32,6 +32,86 @@ def random_hospital_ties_instance(rng, max_residents=7):
             seed=rng.randrange(10**9),
         )
     )
+
+
+def reference_hospitals_offer(instance, shuffle_seed=None):
+    """Pass one as a plain quadratic loop, the reference for the fast pass.
+
+    Every round recomputes every hospital's active tie by scanning all of
+    its ties, then offers from the first eligible hospital (or a seeded
+    choice among the eligible ones, in index order).
+    """
+    rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
+    res_lists = [list(p.entries()) for p in instance.residents]
+    hosp_groups = [[list(g) for g in h.preferences.groups] for h in instance.hospitals]
+    deleted = set()
+    assigned = {}
+    assignees = [set() for _ in range(instance.n2)]
+    vacancies = [h.capacity for h in instance.hospitals]
+
+    def active_tie(j):
+        groups = hosp_groups[j - 1]
+        last = -1
+        for idx, group in enumerate(groups):
+            if any(r in assignees[j - 1] for r in group):
+                last = idx
+        return list(groups[last + 1]) if last + 1 < len(groups) else []
+
+    def delete_pair(r, h):
+        res_lists[r - 1].remove(h)
+        groups = hosp_groups[h - 1]
+        idx = next(k for k, group in enumerate(groups) if r in group)
+        groups[idx].remove(r)
+        if not groups[idx]:
+            del groups[idx]
+        deleted.add((r, h))
+
+    while True:
+        ties = {j: active_tie(j) for j in range(1, instance.n2 + 1)}
+        eligible = [j for j, tie in ties.items() if 0 < len(tie) <= vacancies[j - 1]]
+        if not eligible:
+            break
+        j = rng.choice(eligible) if rng else eligible[0]
+        for r in ties[j]:
+            previous = assigned.get(r)
+            if previous is not None:
+                assignees[previous - 1].discard(r)
+                vacancies[previous - 1] += 1
+            assigned[r] = j
+            assignees[j - 1].add(r)
+            vacancies[j - 1] -= 1
+            prefs = res_lists[r - 1]
+            for successor in prefs[prefs.index(j) + 1 :]:
+                delete_pair(r, successor)
+    reduced = Instance(
+        residents=tuple(PreferenceList.strict(lst) for lst in res_lists),
+        hospitals=tuple(
+            Hospital(h.capacity, PreferenceList(tuple(tuple(g) for g in groups)))
+            for h, groups in zip(instance.hospitals, hosp_groups)
+        ),
+    )
+    return reduced, deleted
+
+
+def test_hospitals_offer_matches_reference_on_random_instances():
+    rng = random.Random(4242)
+    for _ in range(60):
+        instance = random_hospital_ties_instance(rng, max_residents=12)
+        for order_seed in (None, 1, 2, 3):
+            assert hospitals_offer(instance, order_seed) == reference_hospitals_offer(
+                instance, order_seed
+            )
+
+
+@pytest.mark.parametrize("n1", [60, 150, 300])
+@pytest.mark.parametrize("tie_density", [0.0, 0.5, 0.85])
+def test_hospitals_offer_matches_reference_on_sfas_like(n1, tie_density):
+    instance = generate(sfas_like(n1, tie_density, seed=n1 + int(100 * tie_density)))
+    expected = reference_hospitals_offer(instance)
+    assert hospitals_offer(instance) == expected
+    assert expected[1]  # the pass does work on this preset
+    if n1 <= 150:
+        assert hospitals_offer(instance, 5) == reference_hospitals_offer(instance, 5)
 
 
 def test_hospitals_offer_fig1_deletions(fig1):

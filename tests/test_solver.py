@@ -2,16 +2,21 @@
 
 import random
 
+import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csr_matrix
 
 from maxhrt.core import Matching, build_rank_table, is_stable, validate_matching
-from maxhrt.generator import GeneratorConfig, generate
+from maxhrt.generator import GeneratorConfig, generate, sfas_like
 from maxhrt.heuristics import warm_start
 from maxhrt.ip_model import build_model
 from maxhrt.oracle import OracleLimit, max_stable_size
+from maxhrt.preprocess import reduce_instance
 from maxhrt.solver import (
     SolveOptions,
     SolveStatus,
+    _Search,
     extract_matching,
     solve,
     upper_bound,
@@ -109,14 +114,97 @@ def test_rejects_unstable_warm_start(fig1):
         solve(_model(fig1), SolveOptions(warm_start=unstable))
 
 
-def test_rejects_overlarge_lower_bound(fig1):
-    with pytest.raises(ValueError, match="lower bound"):
-        solve(_model(fig1), SolveOptions(lower_bound=7))
+def _recount(search):
+    """The search's counters, rebuilt from its variable states."""
+    res_match = [-1] * search.n1
+    hosp_ones = [0] * search.n2
+    res_nonzero = [len(cols) for cols in search.res_vars]
+    for col, value in enumerate(search.state):
+        i = search.var_res[col]
+        if value == 1:
+            res_match[i] = col
+            hosp_ones[search.var_hosp[col]] += 1
+        elif value == 0:
+            res_nonzero[i] -= 1
+    return res_match, hosp_ones, sum(hosp_ones), res_nonzero
 
 
-def test_lower_bound_accepted(fig1):
-    outcome = solve(_model(fig1), SolveOptions(lower_bound=5))
-    assert outcome.objective == 6
+def _counters(search):
+    return search.res_match, search.hosp_ones, search.total_ones, search.res_nonzero
+
+
+def test_failed_propagation_undoes_to_consistent_counters():
+    # Fixing two pairs of one resident to 1 fails inside the fixing queue,
+    # after a first fixing already matched some other resident; undoing the
+    # failed step must leave counters that agree with the variable states.
+    checked = 0
+    for instance in small_instances(40, seed=33):
+        search = _Search(_model(instance), SolveOptions())
+        if not search._propagate([]):
+            continue
+        unfixed = [
+            [col for col in cols if search.state[col] < 0] for cols in search.res_vars
+        ]
+        open_residents = [cols for cols in unfixed if len(cols) >= 2]
+        if not open_residents:
+            continue
+        mark = len(search.trail)
+        if not search._propagate([(open_residents[0][0], 1)]):
+            search._undo_to(mark)
+        assert _counters(search) == _recount(search)
+        mark = len(search.trail)
+        state = list(search.state)
+        for cols in open_residents:
+            a, b = cols[0], cols[1]
+            if search.state[a] < 0 and search.state[b] < 0:
+                assert not search._propagate([(a, 1), (b, 1)])
+                search._undo_to(mark)
+                assert search.state == state
+                assert _counters(search) == _recount(search)
+                checked += 1
+    assert checked >= 10
+
+
+def highs_optimum(model):
+    """Maximum weakly stable matching size, proved by HiGHS on the model."""
+    rows, cols, vals, rhs = [], [], [], []
+    for r, constraint in enumerate(model.constraints):
+        for col, coeff in constraint.coefficients:
+            rows.append(r)
+            cols.append(col)
+            vals.append(coeff)
+        rhs.append(constraint.rhs)
+    n = model.num_variables
+    matrix = csr_matrix((vals, (rows, cols)), shape=(len(rhs), n))
+    result = milp(
+        c=-np.ones(n),
+        constraints=LinearConstraint(matrix, -np.inf, np.array(rhs, dtype=float)),
+        integrality=np.ones(n),
+        bounds=Bounds(0, 1),
+        options={"time_limit": 60},
+    )
+    assert result.status == 0, result.message
+    return round(-result.fun)
+
+
+# SFAS-like instances beyond the oracle's reach. (100, 0.85, 3), (100, 0.85, 7)
+# and (150, 0.5, 2) are ones where the search once claimed Optimal at 99, 98
+# and 145 against optima of 100, 99 and 146; (100, 0.5, 3) is proved only
+# after a real search, the others at the root node.
+@pytest.mark.parametrize(
+    "n1, tie_density, seed",
+    [(40, 0.85, 0), (70, 0.5, 0), (100, 0.5, 3), (100, 0.85, 3), (100, 0.85, 7),
+     (150, 0.5, 2), (150, 0.85, 4)],
+)
+def test_never_claims_beyond_highs(n1, tie_density, seed):
+    instance = generate(sfas_like(n1, tie_density, seed))
+    optimum = highs_optimum(_model(instance))
+    reduced, _ = reduce_instance(instance)
+    outcome = solve(_model(reduced), SolveOptions(time_limit=1.0))
+    assert outcome.objective <= optimum <= outcome.proof_bound
+    if outcome.status is SolveStatus.OPTIMAL:
+        assert outcome.objective == optimum
+    assert is_stable(instance, build_rank_table(instance), outcome.matching)
 
 
 def test_rejects_bad_time_limit():

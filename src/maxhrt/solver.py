@@ -1,19 +1,28 @@
-"""Exact maximization of the pair-variable model by depth-first branch and bound.
+"""Exact maximization of the pair-variable model in three phases.
 
-Branching picks an unfixed pair of a currently unmatched resident with the
-smallest resident-side rank (seeded tie-break) and tries x=1 first, which
-makes the first dive behave like deferred acceptance and produces strong
-incumbents early. Propagation applies the one-hospital-per-resident and
-capacity rows eagerly; stability rows are read as "the resident gets this
-hospital or better, or the hospital fills up with residents it ranks at
-least as high", which yields both conflict detection and unit-style
-forcing. Subtrees are pruned against a capacitated bipartite matching
-relaxation that ignores stability rows, so the bound is exact integral
-arithmetic throughout.
+1. **Warm start.** A weakly stable matching (tie-breaking plus deferred
+   acceptance, computed if not supplied) is the first incumbent, so a
+   cutoff at any point still returns a matching.
+2. **Primal phase.** After root propagation, the root bound is a
+   capacitated bipartite matching relaxation that ignores stability rows.
+   While the incumbent is below it, up to PROMOTION_TRIES seeded
+   promotion starts (Király's deferred acceptance) are tried, each before
+   the deadline; the largest is kept. An incumbent that meets the root
+   bound is optimal, proved at the root node.
+3. **Branch and bound**, depth first. Branching picks an unfixed pair of a
+   currently unmatched resident, following the relaxation's placement
+   (seeded tie-break), and tries x=1 first. Propagation applies the
+   one-hospital-per-resident and capacity rows eagerly; stability rows
+   are read as "the resident gets this hospital or better, or the
+   hospital fills up with residents it ranks at least as high", which
+   yields both conflict detection and unit-style forcing. Subtrees are
+   pruned against the relaxation, so the bound is exact integral
+   arithmetic throughout.
 
-A weakly stable warm start (computed if not supplied) provides the initial
-incumbent and objective floor; hitting the wall-clock cutoff returns the
-incumbent with the root relaxation as the surviving proof bound.
+Every matching that becomes the incumbent (warm start, promotion start or
+search leaf) passes one certificate check against the model's instance.
+Hitting the wall-clock cutoff returns the incumbent with the root
+relaxation as the surviving proof bound.
 """
 
 from __future__ import annotations
@@ -27,16 +36,20 @@ from typing import Mapping, Sequence
 from .core import (
     Instance,
     Matching,
+    RankTable,
     build_rank_table,
     blocking_pairs,
     matching_size,
     validate_matching,
 )
+from .heuristics import promotion_start
 from .heuristics import warm_start as default_warm_start
 from .ip_model import IpModel
 
 _UNFIXED = -1
 _BIG = 1 << 30
+# Seeds the primal phase tries before the search, each a promotion start.
+PROMOTION_TRIES = 32
 
 
 class SolveStatus(enum.Enum):
@@ -147,6 +160,20 @@ def upper_bound(model: IpModel, fixing: Mapping[int, int]) -> int:
             adjacency[i].append(v.hospital - 1)
     bound, _ = _b_matching_max(n1, n2, caps, adjacency, preassigned)
     return bound
+
+
+def _certificate_problem(
+    instance: Instance, ranks: RankTable, matching: Matching
+) -> str | None:
+    """Why the matching is not a weakly stable matching of the instance, or None."""
+    violations = validate_matching(instance, matching)
+    if violations:
+        return f"is not a valid matching for the instance: {violations[0].message}"
+    blockers = blocking_pairs(instance, ranks, matching)
+    if blockers:
+        r, h = blockers[0]
+        return f"is not weakly stable in the instance: (r{r}, h{h}) blocks"
+    return None
 
 
 def extract_matching(model: IpModel, vector: Sequence[int]) -> Matching:
@@ -357,19 +384,37 @@ class _Search:
         return True
 
     def _store_incumbent(self) -> None:
-        pairs = [
-            (v.resident, v.hospital)
-            for v in self.model.variables
-            if self.state[v.column] == 1
-        ]
-        matching = Matching.from_pairs(pairs)
-        instance = self.model.instance
-        if validate_matching(instance, matching) or blocking_pairs(
-            instance, self.ranks, matching
-        ):
-            raise SolverInternalError("search produced an unstable incumbent")
+        self._adopt(
+            Matching.from_pairs(
+                (v.resident, v.hospital)
+                for v in self.model.variables
+                if self.state[v.column] == 1
+            ),
+            "search incumbent",
+        )
+
+    def _adopt(self, matching: Matching, source: str) -> None:
+        """Make a certified matching the incumbent."""
+        problem = _certificate_problem(self.model.instance, self.ranks, matching)
+        if problem is not None:
+            raise SolverInternalError(f"{source} {problem}")
         self.incumbent = matching
-        self.incumbent_size = len(pairs)
+        self.incumbent_size = matching_size(matching)
+
+    def _primal_phase(self, target: int, deadline: float) -> None:
+        """Raise the incumbent toward `target` with seeded promotion starts.
+
+        Stops once the incumbent meets `target` (then it is proved optimal),
+        after PROMOTION_TRIES seeds, or at the deadline.
+        """
+        instance = self.model.instance
+        for k in range(PROMOTION_TRIES):
+            if self.incumbent_size >= target or time.monotonic() > deadline:
+                return
+            seed = self.options.seed + k
+            candidate = promotion_start(instance, seed)
+            if matching_size(candidate) > self.incumbent_size:
+                self._adopt(candidate, f"promotion start (seed {seed})")
 
     # -- bounding -----------------------------------------------------------
 
@@ -456,6 +501,7 @@ class _Search:
             raise SolverInternalError("root propagation found no stable matching")
         self.nodes = 1
         root_bound = self._relaxation_bound()
+        self._primal_phase(root_bound, deadline)
         timed_out = False
 
         if self.incumbent_size < root_bound:
@@ -519,10 +565,9 @@ def solve(model: IpModel, options: SolveOptions | None = None) -> SolveOutcome:
     initial = options.warm_start
     if initial is None:
         initial = default_warm_start(instance, options.seed)
-    if validate_matching(instance, initial):
-        raise ValueError("warm start is not a valid matching for the instance")
-    if blocking_pairs(instance, search.ranks, initial):
-        raise ValueError("warm start is not weakly stable in the instance")
+    problem = _certificate_problem(instance, search.ranks, initial)
+    if problem is not None:
+        raise ValueError(f"warm start {problem}")
     model.encode(initial)  # every warm-start pair must be a model variable
 
     search.incumbent = initial

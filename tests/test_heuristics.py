@@ -1,12 +1,28 @@
-"""Tie-breaking and deferred-acceptance warm starts."""
+"""Tie-breaking, deferred-acceptance and promotion warm starts."""
+
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxhrt.core import Matching, build_rank_table, is_stable, matching_size
-from maxhrt.heuristics import TieBreakPolicy, break_ties, gale_shapley, warm_start
+from maxhrt.core import (
+    Instance,
+    Matching,
+    PreferenceList,
+    build_rank_table,
+    is_stable,
+    matching_size,
+)
+from maxhrt.heuristics import (
+    TieBreakPolicy,
+    break_ties,
+    gale_shapley,
+    promotion_start,
+    warm_start,
+)
 from maxhrt.instance_io import parse_instance
+from maxhrt.oracle import OracleLimit, max_stable_size
 
 from strategies import instances_strategy
 
@@ -98,3 +114,48 @@ def test_gale_shapley_no_blocking_pair_in_strict(data):
     instance = data.draw(instances_strategy(ties=False))
     matching = gale_shapley(instance)
     assert is_stable(instance, build_rank_table(instance), matching)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**30))
+def test_promotion_start_weakly_stable_with_ties_on_both_sides(data, seed):
+    instance = data.draw(instances_strategy())
+    matching = promotion_start(instance, seed)
+    assert is_stable(instance, build_rank_table(instance), matching)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**30))
+def test_promotion_start_deterministic_given_seed(data, seed):
+    instance = data.draw(instances_strategy())
+    assert promotion_start(instance, seed) == promotion_start(instance, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**30))
+def test_promotion_start_is_gale_shapley_on_strict(data, seed):
+    instance = data.draw(instances_strategy(ties=False))
+    strict = break_ties(instance, TieBreakPolicy("seeded-random", seed))
+    assert promotion_start(instance, seed) == gale_shapley(strict)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**30))
+def test_promotion_start_two_thirds_of_optimum_with_hospital_ties(data, seed):
+    tied = data.draw(instances_strategy(max_residents=8, max_hospitals=4))
+    instance = Instance(
+        residents=tuple(PreferenceList.strict(p.entries()) for p in tied.residents),
+        hospitals=tied.hospitals,
+    )
+    optimum = max_stable_size(instance, OracleLimit(max_pairs=32))
+    assert matching_size(promotion_start(instance, seed)) >= math.ceil(2 * optimum / 3)
+
+
+def test_promotion_start_reaches_optimum_where_tie_breaking_may_not(fig1, m1):
+    # r6 displaces r4 from h2, where r4 and r5 are tied. r4 runs out of
+    # hospitals, is promoted, and displaces the unpromoted r5, who moves to
+    # h3: the size-6 matching M1. Breaking h2's tie as r5 before r4 gives
+    # size 5 instead.
+    assert min(matching_size(warm_start(fig1, seed)) for seed in range(20)) == 5
+    for seed in range(20):
+        assert promotion_start(fig1, seed) == m1

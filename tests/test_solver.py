@@ -12,7 +12,7 @@ from maxhrt.generator import GeneratorConfig, generate, sfas_like
 from maxhrt.heuristics import warm_start
 from maxhrt.ip_model import build_model
 from maxhrt.oracle import OracleLimit, max_stable_size
-from maxhrt.preprocess import reduce_instance
+from maxhrt.preprocess import ResidentTiesError, reduce_instance
 from maxhrt.solver import (
     SolveOptions,
     SolveStatus,
@@ -27,6 +27,15 @@ from conftest import M1_PAIRS
 
 def _model(instance):
     return build_model(instance, build_rank_table(instance))
+
+
+def _pipeline_model(instance):
+    """The model the pipeline solves: reduced unless residents have ties."""
+    try:
+        instance, _ = reduce_instance(instance)
+    except ResidentTiesError:
+        pass
+    return _model(instance)
 
 
 def small_instances(count, seed, max_residents=9):
@@ -187,23 +196,50 @@ def highs_optimum(model):
     return round(-result.fun)
 
 
+def _sfas(n1, tie_density, seed):
+    return pytest.param(sfas_like(n1, tie_density, seed), id=f"{n1}-{tie_density}-{seed}")
+
+
 # SFAS-like instances beyond the oracle's reach. (100, 0.85, 3), (100, 0.85, 7)
 # and (150, 0.5, 2) are ones where the search once claimed Optimal at 99, 98
-# and 145 against optima of 100, 99 and 146; (100, 0.5, 3) is proved only
-# after a real search, the others at the root node.
+# and 145 against optima of 100, 99 and 146. Within the 1 s limit,
+# (150, 0.5, 2) is proved only after a real search and (100, 0.85, 7) times
+# out; the others are proved at the root node. The two-sided instance has
+# ties on both sides, so it is solved unreduced.
 @pytest.mark.parametrize(
-    "n1, tie_density, seed",
-    [(40, 0.85, 0), (70, 0.5, 0), (100, 0.5, 3), (100, 0.85, 3), (100, 0.85, 7),
-     (150, 0.5, 2), (150, 0.85, 4)],
+    "config",
+    [_sfas(40, 0.85, 0), _sfas(70, 0.5, 0), _sfas(100, 0.5, 3), _sfas(100, 0.85, 3),
+     _sfas(100, 0.85, 7), _sfas(150, 0.5, 2), _sfas(150, 0.85, 4),
+     pytest.param(GeneratorConfig(150, 10, 150, 5, 0.3, 0.5, seed=1), id="two-sided-150-1")],
 )
-def test_never_claims_beyond_highs(n1, tie_density, seed):
-    instance = generate(sfas_like(n1, tie_density, seed))
+def test_never_claims_beyond_highs(config):
+    instance = generate(config)
     optimum = highs_optimum(_model(instance))
-    reduced, _ = reduce_instance(instance)
-    outcome = solve(_model(reduced), SolveOptions(time_limit=1.0))
+    outcome = solve(_pipeline_model(instance), SolveOptions(time_limit=1.0))
     assert outcome.objective <= optimum <= outcome.proof_bound
     if outcome.status is SolveStatus.OPTIMAL:
         assert outcome.objective == optimum
+    assert is_stable(instance, build_rank_table(instance), outcome.matching)
+
+
+# Instances whose optimum equals the root relaxation bound, where a plain
+# Gale-Shapley warm start falls short and the search alone once timed out.
+# The primal phase finds the optimum before branching, so the proof needs
+# one node; the time limit is far above what that takes.
+@pytest.mark.parametrize(
+    "config, optimum",
+    [pytest.param(sfas_like(300, 0.85, 8), 300, id="sfas-300-0.85-8"),
+     pytest.param(GeneratorConfig(150, 10, 150, 5, 0.3, 0.5, seed=7), 150,
+                  id="two-sided-150-7")],
+)
+def test_primal_phase_proves_at_root(config, optimum):
+    instance = generate(config)
+    model = _pipeline_model(instance)
+    assert len(warm_start(model.instance, 0)) < optimum
+    outcome = solve(model, SolveOptions(time_limit=60.0))
+    assert outcome.status is SolveStatus.OPTIMAL
+    assert outcome.nodes == 1
+    assert outcome.objective == outcome.proof_bound == optimum
     assert is_stable(instance, build_rank_table(instance), outcome.matching)
 
 

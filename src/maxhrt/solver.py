@@ -15,9 +15,13 @@
    one-hospital-per-resident and capacity rows eagerly; stability rows
    are read as "the resident gets this hospital or better, or the
    hospital fills up with residents it ranks at least as high", which
-   yields both conflict detection and unit-style forcing. Subtrees are
-   pruned against the relaxation, so the bound is exact integral
-   arithmetic throughout.
+   yields both conflict detection and unit-style forcing. Each round of
+   propagation rescans only the hospitals whose rows' inputs changed: a
+   fixing or undo on resident i's pairs marks every hospital on i's list.
+   Subtrees are pruned against the relaxation, which repairs the previous
+   node's placement (fixed residents moved in, pairs fixed to 0 and
+   overfull hospitals cleared) and then augments only the residents left
+   unplaced, so the bound is exact integral arithmetic throughout.
 
 Every matching that becomes the incumbent (warm start, promotion start or
 search leaf) passes one certificate check against the model's instance.
@@ -82,50 +86,72 @@ class SolveOutcome:
     proof_bound: int
 
 
-def _b_matching_max(
-    n1: int,
-    n2: int,
+def _max_placement(
     caps: Sequence[int],
-    adjacency: Sequence[Sequence[int]],
-    preassigned: Sequence[int],
-) -> tuple[int, list[int]]:
-    """Maximum residents placeable ignoring stability (augmenting paths).
+    var_hosp: Sequence[int],
+    res_vars: Sequence[Sequence[int]],
+    state: Sequence[int],
+    res_match: Sequence[int],
+    place: list[int],
+) -> int:
+    """Most residents placeable ignoring stability, grown from `place`.
 
-    `adjacency[i]` lists 0-based hospitals open to resident i; residents
-    with `preassigned[i] >= 0` start matched there and keep an edge only
-    to that hospital, so they are never displaced. Returns the size and
-    the placement realizing it.
+    `place[i]` is the column resident i starts on, or -1. A resident with
+    `res_match[i] >= 0` is fixed there and never moves. The start is
+    repaired first: fixed residents move to their column, placements on a
+    column fixed to 0 are dropped, and non-fixed holders beyond a
+    hospital's capacity are evicted (highest resident index first). Then
+    each unplaced resident gets one augmenting-path search over its columns
+    not fixed to 0. By Kuhn's argument the result is maximum whatever the
+    start. `place` is updated in place; returns the number placed.
     """
+    n2 = len(caps)
     holders: list[list[int]] = [[] for _ in range(n2)]
-    assign = list(preassigned)
-    matched = 0
-    for i in range(n1):
-        if assign[i] >= 0:
-            holders[assign[i]].append(i)
-            matched += 1
+    for i, m in enumerate(res_match):
+        if m >= 0:
+            place[i] = m
+            holders[var_hosp[m]].append(i)
+    for i, col in enumerate(place):
+        if col < 0 or res_match[i] >= 0:
+            continue
+        j = var_hosp[col]
+        if state[col] == 0 or len(holders[j]) >= caps[j]:
+            place[i] = -1
+        else:
+            holders[j].append(i)
 
-    def augment(i: int, visited: list[bool]) -> bool:
-        for j in adjacency[i]:
-            if visited[j]:
+    visited = [0] * n2
+    stamp = 0
+
+    def augment(i: int) -> bool:
+        for col in res_vars[i]:
+            if state[col] == 0:
                 continue
-            visited[j] = True
+            j = var_hosp[col]
+            if visited[j] == stamp:
+                continue
+            visited[j] = stamp
             if len(holders[j]) < caps[j]:
                 holders[j].append(i)
-                assign[i] = j
+                place[i] = col
                 return True
             for p in list(holders[j]):
-                if augment(p, visited):
+                if res_match[p] < 0 and augment(p):
                     holders[j].remove(p)
                     holders[j].append(i)
-                    assign[i] = j
+                    place[i] = col
                     return True
         return False
 
-    for i in range(n1):
-        if assign[i] < 0 and adjacency[i]:
-            if augment(i, [False] * n2):
-                matched += 1
-    return matched, assign
+    placed = 0
+    for i, col in enumerate(place):
+        if col >= 0:
+            placed += 1
+        else:
+            stamp += 1
+            if augment(i):
+                placed += 1
+    return placed
 
 
 def upper_bound(model: IpModel, fixing: Mapping[int, int]) -> int:
@@ -135,31 +161,29 @@ def upper_bound(model: IpModel, fixing: Mapping[int, int]) -> int:
     """
     n1, n2 = model.instance.n1, model.instance.n2
     caps = [model.instance.capacity(j) for j in range(1, n2 + 1)]
-    preassigned = [-1] * n1
+    var_hosp = [v.hospital - 1 for v in model.variables]
+    res_vars: list[list[int]] = [[] for _ in range(n1)]
+    for v in model.variables:
+        res_vars[v.resident - 1].append(v.column)
+    state = [_UNFIXED] * model.num_variables
+    res_match = [-1] * n1
     load = [0] * n2
     for col, value in fixing.items():
+        if not 0 <= col < model.num_variables:
+            raise ValueError(f"fixing names column {col}, which is not in the model")
         if value not in (0, 1):
             raise ValueError(f"fixing for column {col} must be 0 or 1")
+        state[col] = value
         if value == 1:
             v = model.variables[col]
             i, j = v.resident - 1, v.hospital - 1
-            if preassigned[i] >= 0:
+            if res_match[i] >= 0:
                 raise ValueError(f"resident r{v.resident} fixed to two hospitals")
-            preassigned[i] = j
+            res_match[i] = col
             load[j] += 1
             if load[j] > caps[j]:
                 raise ValueError(f"capacity of h{v.hospital} exceeded by fixing")
-    adjacency: list[list[int]] = [[] for _ in range(n1)]
-    for v in model.variables:
-        if fixing.get(v.column, _UNFIXED) == 0:
-            continue
-        i = v.resident - 1
-        if preassigned[i] >= 0:
-            continue
-        if v.hospital - 1 not in adjacency[i]:
-            adjacency[i].append(v.hospital - 1)
-    bound, _ = _b_matching_max(n1, n2, caps, adjacency, preassigned)
-    return bound
+    return _max_placement(caps, var_hosp, res_vars, state, res_match, [-1] * n1)
 
 
 def _certificate_problem(
@@ -231,18 +255,33 @@ class _Search:
         self.total_ones = 0
         self.nodes = 0
 
+        # A row (i, j) reads the states of j's variables, res_match[i] and
+        # i's variables, so a state change of resident i makes every hospital
+        # on i's list dirty. Fixings and undos only mark the resident (once,
+        # however many of its pairs change); _scan expands the marked
+        # residents to their hospitals, then reads only dirty hospitals. A
+        # clean hospital was scanned in the current state, and hosp_bad keeps
+        # whether its rows allow the zero completion. At the root every
+        # hospital is dirty.
+        self.res_dirty = [False] * self.n1
+        self.dirty_res: list[int] = []
+        self.hosp_dirty = [True] * self.n2
+        self.dirty_hosp = list(range(self.n2))
+        self.hosp_bad = [False] * self.n2
+        self.bad_count = 0
+
         self.incumbent: Matching | None = None
         self.incumbent_size = -1
-        # hospital suggested per resident by the latest relaxation solution;
+        # column per resident in the latest relaxation placement (-1: none);
         # diving along it tries to realize the bound, so that proving and
-        # finding meet in the middle
+        # finding meet in the middle, and the next bound repairs it
         self.guide = [-1] * self.n1
-        self.column_of = model.column_of
 
     # -- state updates ----------------------------------------------------
 
     def _fix_queue(self, assignments: list[tuple[int, int]]) -> bool:
         state = self.state
+        res_dirty = self.res_dirty
         queue = list(assignments)
         ptr = 0
         while ptr < len(queue):
@@ -260,6 +299,9 @@ class _Search:
                 return False
             state[v] = value
             self.trail.append(v)
+            if not res_dirty[i]:
+                res_dirty[i] = True
+                self.dirty_res.append(i)
             if value == 1:
                 self.res_match[i] = v
                 self.total_ones += 1
@@ -281,15 +323,20 @@ class _Search:
     def _undo_to(self, mark: int) -> None:
         state = self.state
         trail = self.trail
+        res_dirty = self.res_dirty
         while len(trail) > mark:
             v = trail.pop()
+            i = self.var_res[v]
             if state[v] == 1:
-                self.res_match[self.var_res[v]] = -1
+                self.res_match[i] = -1
                 self.hosp_ones[self.var_hosp[v]] -= 1
                 self.total_ones -= 1
             else:
-                self.res_nonzero[self.var_res[v]] += 1
+                self.res_nonzero[i] += 1
             state[v] = _UNFIXED
+            if not res_dirty[i]:
+                res_dirty[i] = True
+                self.dirty_res.append(i)
 
     def _best_rank(self, i: int) -> int:
         m = self.res_match[i]
@@ -304,26 +351,42 @@ class _Search:
     # -- stability reasoning ----------------------------------------------
 
     def _scan(self) -> tuple[list[int], bool] | None:
-        """One pass over all stability rows.
+        """One pass over the stability rows of the dirty hospitals.
 
         Returns (variables forced to 1, zero-completion feasible) or None
-        on a row that no completion can satisfy.
+        on a row that no completion can satisfy. The forced variables and
+        the flag equal those of a pass over every hospital: a clean
+        hospital forces nothing new, since applying what it forced last
+        made it dirty again. A hospital with a conflict stays dirty.
         """
         state = self.state
         var_res = self.var_res
+        var_hosp = self.var_hosp
         var_rrank = self.var_rrank
         var_hrank = self.var_hrank
         res_match = self.res_match
+        res_vars = self.res_vars
+        res_dirty = self.res_dirty
+        hosp_dirty = self.hosp_dirty
+        hosp_bad = self.hosp_bad
+        dirty_hosp = self.dirty_hosp
+        for i in self.dirty_res:
+            res_dirty[i] = False
+            for w in res_vars[i]:
+                j = var_hosp[w]
+                if not hosp_dirty[j]:
+                    hosp_dirty[j] = True
+                    dirty_hosp.append(j)
+        self.dirty_res.clear()
         forced: list[int] = []
-        zero_ok = True
-        for j in range(self.n2):
+        while dirty_hosp:
+            j = dirty_hosp[-1]
             c = self.caps[j]
             vs = self.hosp_vars[j]
-            if c == 0 or not vs:
-                continue
+            bad = False
             nonzero = ones = 0
             idx = 0
-            count = len(vs)
+            count = len(vs) if c > 0 else 0
             while idx < count:
                 block_rank = var_hrank[vs[idx]]
                 start = idx
@@ -343,7 +406,7 @@ class _Search:
                     m = res_match[i]
                     if m >= 0 and var_rrank[m] <= rr:
                         continue
-                    zero_ok = False
+                    bad = True
                     best = self._best_rank(i)
                     if best > rr:
                         # resident side dead: hospital must fill this prefix
@@ -357,7 +420,7 @@ class _Search:
                         # prefix can never fill: resident must take rank <= rr
                         candidate = -1
                         options = 0
-                        for w in self.res_vars[i]:
+                        for w in res_vars[i]:
                             if var_rrank[w] > rr:
                                 break
                             if state[w] != 0:
@@ -365,7 +428,12 @@ class _Search:
                                 candidate = w
                         if options == 1:
                             forced.append(candidate)
-        return forced, zero_ok
+            dirty_hosp.pop()
+            hosp_dirty[j] = False
+            if bad != hosp_bad[j]:
+                hosp_bad[j] = bad
+                self.bad_count += 1 if bad else -1
+        return forced, self.bad_count == 0
 
     def _propagate(self, assignments: list[tuple[int, int]]) -> bool:
         if not self._fix_queue(assignments):
@@ -428,25 +496,10 @@ class _Search:
         return total
 
     def _relaxation_bound(self) -> int:
-        state = self.state
-        adjacency: list[list[int]] = [[] for _ in range(self.n1)]
-        preassigned = [-1] * self.n1
-        for i in range(self.n1):
-            m = self.res_match[i]
-            if m >= 0:
-                preassigned[i] = self.var_hosp[m]
-                continue
-            seen = adjacency[i]
-            for w in self.res_vars[i]:
-                if state[w] != 0:
-                    j = self.var_hosp[w]
-                    if j not in seen:
-                        seen.append(j)
-        bound, placement = _b_matching_max(
-            self.n1, self.n2, self.caps, adjacency, preassigned
+        """The relaxation's maximum, repairing the previous placement."""
+        return _max_placement(
+            self.caps, self.var_hosp, self.res_vars, self.state, self.res_match, self.guide
         )
-        self.guide = placement
-        return bound
 
     def _select_guided(self) -> int:
         """Unfixed pair of an unmatched resident along the relaxation guide."""
@@ -456,11 +509,8 @@ class _Search:
         for i in range(self.n1):
             if self.res_match[i] >= 0:
                 continue
-            g = self.guide[i]
-            if g < 0:
-                continue
-            col = self.column_of.get((i + 1, g + 1))
-            if col is None or state[col] != _UNFIXED:
+            col = self.guide[i]
+            if col < 0 or state[col] != _UNFIXED:
                 continue
             key = (self.var_rrank[col], self.priority[col])
             if key < best_key:

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_matrix
 
@@ -23,6 +25,7 @@ from maxhrt.solver import (
 )
 
 from conftest import M1_PAIRS
+from strategies import instances_strategy
 
 
 def _model(instance):
@@ -174,6 +177,110 @@ def test_failed_propagation_undoes_to_consistent_counters():
     assert checked >= 10
 
 
+def reference_scan(search):
+    """The stability rows of every hospital read afresh, in the search's state.
+
+    Returns (variables forced to 1, zero-completion feasible) or None, as
+    `_Search._scan` does for the hospitals it marks dirty.
+    """
+    state = search.state
+    forced = []
+    zero_ok = True
+    for j in range(search.n2):
+        c = search.caps[j]
+        vs = search.hosp_vars[j]
+        if c == 0 or not vs:
+            continue
+        nonzero = ones = 0
+        idx = 0
+        while idx < len(vs):
+            block_rank = search.var_hrank[vs[idx]]
+            start = idx
+            while idx < len(vs) and search.var_hrank[vs[idx]] == block_rank:
+                if state[vs[idx]] != 0:
+                    nonzero += 1
+                    ones += state[vs[idx]] == 1
+                idx += 1
+            if ones >= c:
+                break
+            for v in vs[start:idx]:
+                i = search.var_res[v]
+                rr = search.var_rrank[v]
+                m = search.res_match[i]
+                if m >= 0 and search.var_rrank[m] <= rr:
+                    continue
+                zero_ok = False
+                if search._best_rank(i) > rr:
+                    if nonzero < c:
+                        return None
+                    if nonzero == c:
+                        forced += [w for w in vs[:idx] if state[w] < 0]
+                elif nonzero < c:
+                    open_cols = [
+                        w for w in search.res_vars[i]
+                        if search.var_rrank[w] <= rr and state[w] != 0
+                    ]
+                    if len(open_cols) == 1:
+                        forced += open_cols
+    return forced, zero_ok
+
+
+def _scan_summary(result):
+    return None if result is None else (set(result[0]), result[1])
+
+
+def _check_relaxation(search, model):
+    """The repaired relaxation equals a solve from an empty start and is a valid placement."""
+    fixing = {col: value for col, value in enumerate(search.state) if value >= 0}
+    assert search._relaxation_bound() == upper_bound(model, fixing)
+    load = [0] * search.n2
+    for i, col in enumerate(search.guide):
+        if search.res_match[i] >= 0:
+            assert col == search.res_match[i]
+        elif col >= 0:
+            assert search.var_res[col] == i and search.state[col] != 0
+        if col >= 0:
+            load[search.var_hosp[col]] += 1
+    assert all(load[j] <= search.caps[j] for j in range(search.n2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_incremental_node_evaluation_matches_full(data):
+    # Random propagations (some fail) and undos; every scan, inside a
+    # propagation or after a step, must agree with the full scan, and the
+    # relaxation with a solve of the same fixing from an empty start.
+    model = _model(data.draw(instances_strategy(max_residents=8, max_hospitals=4)))
+    search = _Search(model, SolveOptions())
+    scan = search._scan
+
+    def checked_scan():
+        expected = _scan_summary(reference_scan(search))
+        result = scan()
+        assert _scan_summary(result) == expected
+        return result
+
+    search._scan = checked_scan
+    assert search._propagate([])
+    _check_relaxation(search, model)
+    marks = []
+    for _ in range(data.draw(st.integers(1, 15))):
+        unfixed = [col for col, value in enumerate(search.state) if value < 0]
+        if marks and (not unfixed or data.draw(st.booleans())):
+            k = data.draw(st.integers(0, len(marks) - 1))
+            search._undo_to(marks[k])
+            del marks[k:]
+        elif unfixed:
+            cols = data.draw(st.lists(st.sampled_from(unfixed), min_size=1, max_size=2))
+            mark = len(search.trail)
+            if search._propagate([(col, data.draw(st.integers(0, 1))) for col in cols]):
+                marks.append(mark)
+            else:
+                search._undo_to(mark)
+        checked_scan()
+        _check_relaxation(search, model)
+
+
 def highs_optimum(model):
     """Maximum weakly stable matching size, proved by HiGHS on the model."""
     rows, cols, vals, rhs = [], [], [], []
@@ -203,13 +310,14 @@ def _sfas(n1, tie_density, seed):
 # SFAS-like instances beyond the oracle's reach. (100, 0.85, 3), (100, 0.85, 7)
 # and (150, 0.5, 2) are ones where the search once claimed Optimal at 99, 98
 # and 145 against optima of 100, 99 and 146. Within the 1 s limit,
-# (150, 0.5, 2) is proved only after a real search and (100, 0.85, 7) times
-# out; the others are proved at the root node. The two-sided instance has
-# ties on both sides, so it is solved unreduced.
+# (150, 0.5, 2) and (300, 0.5, 5) are proved only after a real search of
+# thousands of nodes and (100, 0.85, 7) times out; the others are proved at
+# the root node. The two-sided instance has ties on both sides, so it is
+# solved unreduced.
 @pytest.mark.parametrize(
     "config",
     [_sfas(40, 0.85, 0), _sfas(70, 0.5, 0), _sfas(100, 0.5, 3), _sfas(100, 0.85, 3),
-     _sfas(100, 0.85, 7), _sfas(150, 0.5, 2), _sfas(150, 0.85, 4),
+     _sfas(100, 0.85, 7), _sfas(150, 0.5, 2), _sfas(150, 0.85, 4), _sfas(300, 0.5, 5),
      pytest.param(GeneratorConfig(150, 10, 150, 5, 0.3, 0.5, seed=1), id="two-sided-150-1")],
 )
 def test_never_claims_beyond_highs(config):
@@ -272,6 +380,8 @@ def test_upper_bound_rejects_bad_fixing(fig1):
     model = _model(fig1)
     with pytest.raises(ValueError, match="two hospitals"):
         upper_bound(model, {model.column_of[(1, 1)]: 1, model.column_of[(1, 2)]: 1})
+    with pytest.raises(ValueError, match="not in the model"):
+        upper_bound(model, {-1: 0})
 
 
 def test_extract_matching_round_trip(fig1):

@@ -177,9 +177,6 @@ class Matching:
     def hospital_of(self, resident: int) -> int | None:
         return self.assignment.get(resident)
 
-    def assignees(self, hospital: int) -> list[int]:
-        return [r for r, h in self.assignment.items() if h == hospital]
-
     def pairs(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self.assignment.items()))
 
@@ -247,34 +244,6 @@ def validate_matching(
     return violations
 
 
-def is_blocking_pair(
-    instance: Instance,
-    ranks: RankTable,
-    matching: Matching,
-    resident: int,
-    hospital: int,
-) -> bool:
-    """Weak-stability blocking test for one acceptable pair.
-
-    Blocks iff the resident is unmatched or strictly prefers the hospital
-    to its assignment, and the hospital is under-subscribed or strictly
-    prefers the resident to one of its assignees.
-    """
-    if not instance.is_acceptable(resident, hospital):
-        raise ValueError(f"pair (r{resident}, h{hospital}) is not acceptable")
-    assigned = matching.hospital_of(resident)
-    if assigned is not None:
-        if ranks.resident_rank(resident, hospital) >= ranks.resident_rank(
-            resident, assigned
-        ):
-            return False
-    assignees = matching.assignees(hospital)
-    if len(assignees) < instance.capacity(hospital):
-        return True
-    my_rank = ranks.hospital_rank(hospital, resident)
-    return any(my_rank < ranks.hospital_rank(hospital, r) for r in assignees)
-
-
 def blocking_pairs(
     instance: Instance, ranks: RankTable, matching: Matching
 ) -> list[tuple[int, int]]:
@@ -304,3 +273,19 @@ def blocking_pairs(
 def is_stable(instance: Instance, ranks: RankTable, matching: Matching) -> bool:
     """True iff no acceptable pair blocks the matching."""
     return not blocking_pairs(instance, ranks, matching)
+
+
+def certify(instance: Instance, ranks: RankTable, matching: Matching) -> str | None:
+    """Why the matching is not a weakly stable matching of the instance, or None.
+
+    The reason reads as a predicate of the matching (e.g. "is not weakly
+    stable in the instance: (r1, h2) blocks"), so callers prefix a subject.
+    """
+    violations = validate_matching(instance, matching)
+    if violations:
+        return f"is not a valid matching for the instance: {violations[0].message}"
+    blockers = blocking_pairs(instance, ranks, matching)
+    if blockers:
+        r, h = blockers[0]
+        return f"is not weakly stable in the instance: (r{r}, h{h}) blocks"
+    return None

@@ -18,35 +18,24 @@ Two constructions, both resident-proposing deferred acceptance:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import Hospital, Instance, Matching, PreferenceList
 
 
-@dataclass(frozen=True)
-class TieBreakPolicy:
-    mode: str = "seeded-random"  # "seeded-random" | "list-order"
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("seeded-random", "list-order"):
-            raise ValueError(f"unknown tie-break mode {self.mode!r}")
-
-
-def _break_list(plist: PreferenceList, rng: random.Random | None) -> PreferenceList:
+def _break_list(plist: PreferenceList, rng: random.Random) -> PreferenceList:
     entries = []
     for group in plist.groups:
         members = list(group)
-        if rng is not None and len(members) > 1:
+        if len(members) > 1:
             rng.shuffle(members)
         entries.extend(members)
     return PreferenceList.strict(entries)
 
 
-def break_ties(instance: Instance, policy: TieBreakPolicy) -> Instance:
-    """Replace every tie by a permutation of its members; order across ties kept."""
-    rng = random.Random(policy.seed) if policy.mode == "seeded-random" else None
+def break_ties(instance: Instance, seed: int) -> Instance:
+    """Replace every tie by a seeded shuffle of its members; order across ties kept."""
+    rng = random.Random(seed)
     residents = tuple(_break_list(p, rng) for p in instance.residents)
     hospitals = tuple(
         Hospital(h.capacity, _break_list(h.preferences, rng)) for h in instance.hospitals
@@ -123,7 +112,7 @@ def gale_shapley(instance: Instance) -> Matching:
 
 def warm_start(instance: Instance, seed: int = 0) -> Matching:
     """A weakly stable matching of the instance, deterministic given seed."""
-    strict = break_ties(instance, TieBreakPolicy("seeded-random", seed))
+    strict = break_ties(instance, seed)
     return gale_shapley(strict)
 
 

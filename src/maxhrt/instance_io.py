@@ -240,7 +240,14 @@ def parse_matching(text: str, instance: Instance) -> Matching:
     matching = Matching(assignment)
     violations = validate_matching(instance, matching)
     if violations:
-        raise ParseError(1, "; ".join(v.message for v in violations))
+        # report the line of the first resident whose pair is unacceptable
+        # or takes its hospital past capacity
+        load: dict[int, int] = {}
+        for i, h in assignment.items():
+            load[h] = load.get(h, 0) + 1
+            if not instance.is_acceptable(i, h) or load[h] > instance.capacity(h):
+                break
+        raise ParseError(lines[i - 1][0], "; ".join(v.message for v in violations))
     return matching
 
 

@@ -60,9 +60,6 @@ class IpModel:
     def num_variables(self) -> int:
         return len(self.variables)
 
-    def objective_value(self, vector: Sequence[int]) -> int:
-        return sum(vector)
-
     def is_feasible(self, vector: Sequence[int]) -> bool:
         if len(vector) != len(self.variables):
             raise ValueError("vector length does not match variable count")
@@ -175,6 +172,9 @@ def _format_row(model: IpModel, constraint: LinearConstraint) -> list[str]:
 
 def export_lp(model: IpModel) -> str:
     """Standard LP-file text for the model (ASCII, LF newlines)."""
+    if not model.variables:
+        # an empty row is written as "0 x" over some variable, and there is none
+        raise ValueError("cannot export a model with no variables: no pair is acceptable")
     lines = ["Maximize"]
     objective = [
         ("+ " if pos > 0 else "") + f"x_{v.resident}_{v.hospital}"

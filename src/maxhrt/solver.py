@@ -11,7 +11,10 @@
    bound is optimal, proved at the root node.
 3. **Branch and bound**, depth first. Branching picks an unfixed pair of a
    currently unmatched resident, following the relaxation's placement
-   (seeded tie-break), and tries x=1 first. Propagation applies the
+   (seeded tie-break), and tries x=1 first. A node whose fresh placement
+   offers no unfixed pair is closed: its bound is the number of residents
+   already matched, reached only by the zero completion, which
+   propagation has already stored or rejected. Propagation applies the
    one-hospital-per-resident and capacity rows eagerly; stability rows
    are read as "the resident gets this hospital or better, or the
    hospital fills up with residents it ranks at least as high", which
@@ -24,7 +27,7 @@
    unplaced, so the bound is exact integral arithmetic throughout.
 
 Every matching that becomes the incumbent (warm start, promotion start or
-search leaf) passes one certificate check against the model's instance.
+search leaf) passes `core.certify` against the model's instance.
 Hitting the wall-clock cutoff returns the incumbent with the root
 relaxation as the surviving proof bound.
 """
@@ -37,15 +40,7 @@ import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import (
-    Instance,
-    Matching,
-    RankTable,
-    build_rank_table,
-    blocking_pairs,
-    matching_size,
-    validate_matching,
-)
+from .core import Matching, build_rank_table, certify, matching_size
 from .heuristics import promotion_start
 from .heuristics import warm_start as default_warm_start
 from .ip_model import IpModel
@@ -72,7 +67,7 @@ class SolveOptions:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:
             raise ValueError("time limit must be positive")
 
 
@@ -184,20 +179,6 @@ def upper_bound(model: IpModel, fixing: Mapping[int, int]) -> int:
             if load[j] > caps[j]:
                 raise ValueError(f"capacity of h{v.hospital} exceeded by fixing")
     return _max_placement(caps, var_hosp, res_vars, state, res_match, [-1] * n1)
-
-
-def _certificate_problem(
-    instance: Instance, ranks: RankTable, matching: Matching
-) -> str | None:
-    """Why the matching is not a weakly stable matching of the instance, or None."""
-    violations = validate_matching(instance, matching)
-    if violations:
-        return f"is not a valid matching for the instance: {violations[0].message}"
-    blockers = blocking_pairs(instance, ranks, matching)
-    if blockers:
-        r, h = blockers[0]
-        return f"is not weakly stable in the instance: (r{r}, h{h}) blocks"
-    return None
 
 
 def extract_matching(model: IpModel, vector: Sequence[int]) -> Matching:
@@ -463,7 +444,7 @@ class _Search:
 
     def _adopt(self, matching: Matching, source: str) -> None:
         """Make a certified matching the incumbent."""
-        problem = _certificate_problem(self.model.instance, self.ranks, matching)
+        problem = certify(self.model.instance, self.ranks, matching)
         if problem is not None:
             raise SolverInternalError(f"{source} {problem}")
         self.incumbent = matching
@@ -523,24 +504,11 @@ class _Search:
         if chosen >= 0:
             return chosen
         self._relaxation_bound()  # refresh the guide against current fixings
-        chosen = self._select_guided()
-        if chosen >= 0:
-            return chosen
-        # no relaxation edge left to follow: smallest-rank unfixed pair
-        state = self.state
-        best = -1
-        best_key = (_BIG, _BIG)
-        for i in range(self.n1):
-            if self.res_match[i] >= 0:
-                continue
-            for w in self.res_vars[i]:
-                if state[w] == _UNFIXED:
-                    key = (self.var_rrank[w], self.priority[w])
-                    if key < best_key:
-                        best_key = key
-                        best = w
-                    break
-        return best
+        # -1 closes the node: the fresh placement leaves every unmatched
+        # resident unplaced, so the bound is total_ones, and the only
+        # completion that large is the zero one, which _propagate has
+        # already stored or rejected
+        return self._select_guided()
 
     # -- main loop ----------------------------------------------------------
 
@@ -615,7 +583,7 @@ def solve(model: IpModel, options: SolveOptions | None = None) -> SolveOutcome:
     initial = options.warm_start
     if initial is None:
         initial = default_warm_start(instance, options.seed)
-    problem = _certificate_problem(instance, search.ranks, initial)
+    problem = certify(instance, search.ranks, initial)
     if problem is not None:
         raise ValueError(f"warm start {problem}")
     model.encode(initial)  # every warm-start pair must be a model variable

@@ -15,7 +15,6 @@ from maxhrt.core import (
     PreferenceList,
     blocking_pairs,
     build_rank_table,
-    is_blocking_pair,
     is_stable,
     matching_size,
     validate_matching,
@@ -50,23 +49,17 @@ def test_acceptable_pair_count_after_pruning(fig1):
 
 def test_blocking_pair_r4_h2_not_blocking_m0(fig1, fig1_ranks, m0):
     # h2 is full and r4 is only tied with assignee r5, no strict preference
-    assert not is_blocking_pair(fig1, fig1_ranks, m0, 4, 2)
+    assert (4, 2) not in blocking_pairs(fig1, fig1_ranks, m0)
 
 
 def test_every_pair_blocks_empty_matching(fig1, fig1_ranks):
-    empty = Matching({})
-    for i, h in fig1.acceptable_pairs():
-        assert is_blocking_pair(fig1, fig1_ranks, empty, i, h)
+    blockers = blocking_pairs(fig1, fig1_ranks, Matching({}))
+    assert sorted(blockers) == sorted(fig1.acceptable_pairs())
 
 
 def test_blocking_pair_underfull_hospital(fig1, fig1_ranks):
     m = Matching({1: 2})
-    assert is_blocking_pair(fig1, fig1_ranks, m, 1, 1)
-
-
-def test_blocking_pair_rejects_unacceptable(fig1, fig1_ranks):
-    with pytest.raises(ValueError):
-        is_blocking_pair(fig1, fig1_ranks, Matching({}), 2, 3)
+    assert (1, 1) in blocking_pairs(fig1, fig1_ranks, m)
 
 
 def test_m0_and_m1_stable(fig1, fig1_ranks, m0, m1):
@@ -123,7 +116,6 @@ def test_capacity_zero_hospital_accepted():
     )
     ranks = build_rank_table(inst)
     # capacity-0 hospitals never block and never match
-    assert not is_blocking_pair(inst, ranks, Matching({}), 1, 1)
     assert is_stable(inst, ranks, Matching({}))
 
 
@@ -168,6 +160,7 @@ def test_validate_clean_implies_invariants(data):
     matching = data.draw(matchings_for(instance))
     if validate_matching(instance, matching) == []:
         for h in range(1, instance.n2 + 1):
-            assert len(matching.assignees(h)) <= instance.capacity(h)
+            load = sum(1 for assigned in matching.assignment.values() if assigned == h)
+            assert load <= instance.capacity(h)
         for r, h in matching.pairs():
             assert instance.is_acceptable(r, h)

@@ -14,38 +14,27 @@ from maxhrt.core import (
     is_stable,
     matching_size,
 )
-from maxhrt.heuristics import (
-    TieBreakPolicy,
-    break_ties,
-    gale_shapley,
-    promotion_start,
-    warm_start,
-)
+from maxhrt.heuristics import break_ties, gale_shapley, promotion_start, warm_start
 from maxhrt.instance_io import parse_instance
 from maxhrt.oracle import OracleLimit, max_stable_size
 
+from conftest import FIG1_TEXT
 from strategies import instances_strategy
-
-
-def test_break_ties_list_order(fig1):
-    strict = break_ties(fig1, TieBreakPolicy("list-order"))
-    assert strict.hospitals[1].preferences.entries() == (1, 6, 4, 5)
-    assert all(p.is_strict() for p in strict.residents)
-    assert all(h.preferences.is_strict() for h in strict.hospitals)
 
 
 def test_break_ties_identity_on_strict(single_pair):
     for seed in (0, 7):
-        assert break_ties(single_pair, TieBreakPolicy("seeded-random", seed)) == single_pair
+        assert break_ties(single_pair, seed) == single_pair
 
 
 def test_break_ties_deterministic(fig1):
-    policy = TieBreakPolicy("seeded-random", 42)
-    assert break_ties(fig1, policy) == break_ties(fig1, policy)
+    assert break_ties(fig1, 42) == break_ties(fig1, 42)
 
 
 def test_break_ties_preserves_cross_tie_order(fig1):
-    strict = break_ties(fig1, TieBreakPolicy("seeded-random", 3))
+    strict = break_ties(fig1, 3)
+    assert all(p.is_strict() for p in strict.residents)
+    assert all(h.preferences.is_strict() for h in strict.hospitals)
     entries = strict.hospitals[1].preferences.entries()
     # order of the strict prefix r1, r6 is kept; the tie members fill the tail
     assert entries[:2] == (1, 6)
@@ -57,9 +46,9 @@ def test_gale_shapley_rejects_ties(fig1):
         gale_shapley(fig1)
 
 
-def test_gale_shapley_r4_first(fig1):
+def test_gale_shapley_r4_first():
     # tie (r4 r5) broken as r4, r5: deferred acceptance reaches size 6
-    strict = break_ties(fig1, TieBreakPolicy("list-order"))
+    strict, _ = parse_instance(FIG1_TEXT.replace("( r4 r5 )", "r4 r5"))
     expected = Matching.from_pairs([(1, 1), (2, 1), (3, 3), (4, 2), (6, 2), (5, 3)])
     assert gale_shapley(strict) == expected
 
@@ -135,7 +124,7 @@ def test_promotion_start_deterministic_given_seed(data, seed):
 @given(data=st.data(), seed=st.integers(0, 2**30))
 def test_promotion_start_is_gale_shapley_on_strict(data, seed):
     instance = data.draw(instances_strategy(ties=False))
-    strict = break_ties(instance, TieBreakPolicy("seeded-random", seed))
+    strict = break_ties(instance, seed)
     assert promotion_start(instance, seed) == gale_shapley(strict)
 
 

@@ -109,13 +109,13 @@ def test_parse_matching_unmatched_marker(fig1):
 
 def test_parse_matching_rejects_unacceptable(fig1):
     text = "r1 -\nr2 h3\nr3 -\nr4 -\nr5 -\nr6 -\n"
-    with pytest.raises(ParseError, match="not acceptable"):
+    with pytest.raises(ParseError, match="line 2: .*not acceptable"):
         parse_matching(text, fig1)
 
 
 def test_parse_matching_rejects_capacity_breach(fig1):
     text = "r1 h1\nr2 h1\nr3 h1\nr4 -\nr5 -\nr6 -\n"
-    with pytest.raises(ParseError, match="capacity"):
+    with pytest.raises(ParseError, match="line 3: .*capacity"):
         parse_matching(text, fig1)
 
 

@@ -5,9 +5,11 @@ import random
 import re
 
 import numpy as np
+import pytest
 from scipy.optimize import Bounds, LinearConstraint as ScipyRow, milp
 
 from maxhrt.core import Matching, build_rank_table, is_stable, matching_size
+from maxhrt.instance_io import parse_instance
 from maxhrt.ip_model import build_model, export_lp
 from maxhrt.oracle import OracleLimit, enumerate_stable_matchings, max_stable_size
 from maxhrt.generator import GeneratorConfig, generate
@@ -67,7 +69,7 @@ def test_feasible_iff_stable_exhaustive(fig1, fig1_ranks):
             ]
             matching = Matching.from_pairs(pairs)
             assert is_stable(fig1, fig1_ranks, matching)
-            assert model.objective_value(vector) == matching_size(matching)
+            assert sum(vector) == matching_size(matching)
             seen.add(matching)
     assert seen == stable_set
     for matching in stable_set:
@@ -91,6 +93,12 @@ def test_export_lp_single_pair(single_pair):
     assert "stab_1_1: - 2 x_1_1 <= -1" in text
     assert text.startswith("Maximize\n")
     assert text.rstrip().endswith("End")
+
+
+def test_export_lp_rejects_model_without_variables():
+    instance, _ = parse_instance("1 1\nr1:\nh1: 1:\n")
+    with pytest.raises(ValueError, match="no variables"):
+        export_lp(_model(instance))
 
 
 def test_export_lp_fig1_rows_and_binaries(fig1):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from maxhrt.core import Hospital, Instance, PreferenceList, build_rank_table, is_blocking_pair
+from maxhrt.core import Hospital, Instance, PreferenceList, blocking_pairs, build_rank_table
 from maxhrt.generator import GeneratorConfig, generate, sfas_like
 from maxhrt.instance_io import parse_instance
 from maxhrt.oracle import OracleLimit, enumerate_stable_matchings
@@ -234,6 +234,7 @@ def test_deleted_pairs_out_of_play():
         ranks = build_rank_table(instance)
         _, deleted = reduce_instance(instance)
         for matching in enumerate_stable_matchings(instance, ORACLE_LIMIT):
+            blockers = set(blocking_pairs(instance, ranks, matching))
             for r, h in deleted:
                 assert matching.hospital_of(r) != h
-                assert not is_blocking_pair(instance, ranks, matching, r, h)
+                assert (r, h) not in blockers

@@ -1,20 +1,27 @@
 """Binary integer model for maximum-cardinality weakly stable matching.
 
-One binary variable per acceptable pair; the objective counts matched
-residents. Three constraint families, all with integer coefficients and
-sense <=:
+One binary variable (a column) per acceptable pair, numbered in resident
+list order; the objective counts matched residents. `build_model` builds
+one pair index, which the solver reads: `res_columns[i-1]` and
+`hosp_columns[j-1]` hold each agent's columns best first (a tie's members
+in column order), and `res_rank` and `hosp_rank` each column's rank on
+either side.
+
+The rows, all with integer coefficients and sense <=, are derived from the
+index each time `IpModel.constraints` is read, in this order:
 
 * resident rows: each resident takes at most one hospital;
 * capacity rows: each hospital stays within its post count;
 * stability rows, one per acceptable pair (i, j): writing S for the
-  hospitals resident i ranks no worse than j and T for the residents
-  hospital j ranks no worse than i,
+  prefix of i's columns through j's tie and T for the prefix of j's
+  columns through i's tie,
 
       c_j * (1 - sum_{q in S} x_{i,q}) - sum_{p in T} x_{p,j} <= 0,
 
   i.e. either the resident gets a hospital at least as good as j, or j is
   full with residents it ranks at least as high as i. Rows are stored in
-  folded form with the constant moved to the right-hand side.
+  folded form, the constant on the right-hand side and the coefficients
+  sorted by column.
 
 A 0/1 point is feasible exactly when it is the indicator vector of a
 weakly stable matching.
@@ -22,8 +29,9 @@ weakly stable matching.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import Instance, Matching, RankTable
 
@@ -53,12 +61,40 @@ class LinearConstraint:
 class IpModel:
     instance: Instance
     variables: tuple[IpVariable, ...]
-    constraints: tuple[LinearConstraint, ...]
     column_of: dict[tuple[int, int], int]
+    res_columns: tuple[tuple[int, ...], ...]
+    hosp_columns: tuple[tuple[int, ...], ...]
+    res_rank: tuple[int, ...]
+    hosp_rank: tuple[int, ...]
 
     @property
     def num_variables(self) -> int:
         return len(self.variables)
+
+    @property
+    def constraints(self) -> tuple[LinearConstraint, ...]:
+        """Every row, derived from the pair index on each read."""
+        instance = self.instance
+        rows = [
+            LinearConstraint(f"res_{i}", _unit_terms(cols), 1, "resident")
+            for i, cols in enumerate(self.res_columns, start=1)
+        ]
+        rows += [
+            LinearConstraint(f"cap_{j}", _unit_terms(cols), instance.capacity(j), "capacity")
+            for j, cols in enumerate(self.hosp_columns, start=1)
+        ]
+        for v in self.variables:
+            i, j = v.resident, v.hospital
+            cap = instance.capacity(j)
+            coeff: dict[int, int] = {}
+            if cap > 0:
+                for col in _through_tie(self.res_columns[i - 1], self.res_rank, v.column):
+                    coeff[col] = -cap
+            for col in _through_tie(self.hosp_columns[j - 1], self.hosp_rank, v.column):
+                coeff[col] = coeff.get(col, 0) - 1
+            terms = tuple(sorted(coeff.items()))
+            rows.append(LinearConstraint(f"stab_{i}_{j}", terms, -cap, "stability", (i, j)))
+        return tuple(rows)
 
     def is_feasible(self, vector: Sequence[int]) -> bool:
         if len(vector) != len(self.variables):
@@ -78,66 +114,37 @@ class IpModel:
         return vector
 
 
+def _unit_terms(columns: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    return tuple((col, 1) for col in sorted(columns))
+
+
+def _through_tie(columns: Sequence[int], rank: Sequence[int], column: int) -> Iterator[int]:
+    """The prefix of a best-first column list that ends with `column`'s tie."""
+    limit = rank[column]
+    return itertools.takewhile(lambda col: rank[col] <= limit, columns)
+
+
 def build_model(instance: Instance, ranks: RankTable) -> IpModel:
-    variables = tuple(
-        IpVariable(resident=i, hospital=j, column=col)
-        for col, (i, j) in enumerate(instance.acceptable_pairs())
-    )
-    column_of = {(v.resident, v.hospital): v.column for v in variables}
+    pairs = instance.acceptable_pairs()
+    res_rank = tuple(int(ranks.resident_rank(i, j)) for i, j in pairs)
+    hosp_rank = tuple(int(ranks.hospital_rank(j, i)) for i, j in pairs)
     res_columns: list[list[int]] = [[] for _ in range(instance.n1)]
     hosp_columns: list[list[int]] = [[] for _ in range(instance.n2)]
-    for v in variables:
-        res_columns[v.resident - 1].append(v.column)
-        hosp_columns[v.hospital - 1].append(v.column)
-
-    constraints: list[LinearConstraint] = []
-    for i in range(1, instance.n1 + 1):
-        constraints.append(
-            LinearConstraint(
-                name=f"res_{i}",
-                coefficients=tuple((col, 1) for col in res_columns[i - 1]),
-                rhs=1,
-                kind="resident",
-            )
-        )
-    for j in range(1, instance.n2 + 1):
-        constraints.append(
-            LinearConstraint(
-                name=f"cap_{j}",
-                coefficients=tuple((col, 1) for col in hosp_columns[j - 1]),
-                rhs=instance.capacity(j),
-                kind="capacity",
-            )
-        )
-    for v in variables:
-        i, j = v.resident, v.hospital
-        cap = instance.capacity(j)
-        my_res_rank = ranks.resident_rank(i, j)
-        my_hosp_rank = ranks.hospital_rank(j, i)
-        coeff: dict[int, int] = {}
-        if cap > 0:
-            for col in res_columns[i - 1]:
-                q = variables[col].hospital
-                if ranks.resident_rank(i, q) <= my_res_rank:
-                    coeff[col] = coeff.get(col, 0) - cap
-        for col in hosp_columns[j - 1]:
-            p = variables[col].resident
-            if ranks.hospital_rank(j, p) <= my_hosp_rank:
-                coeff[col] = coeff.get(col, 0) - 1
-        constraints.append(
-            LinearConstraint(
-                name=f"stab_{i}_{j}",
-                coefficients=tuple(sorted(coeff.items())),
-                rhs=-cap,
-                kind="stability",
-                pair=(i, j),
-            )
-        )
+    for col, (i, j) in enumerate(pairs):
+        res_columns[i - 1].append(col)
+        hosp_columns[j - 1].append(col)
+    # best first; sort() is stable, so a tie's members stay in column order
+    for lists, rank in ((res_columns, res_rank), (hosp_columns, hosp_rank)):
+        for cols in lists:
+            cols.sort(key=rank.__getitem__)
     return IpModel(
         instance=instance,
-        variables=variables,
-        constraints=tuple(constraints),
-        column_of=column_of,
+        variables=tuple(IpVariable(i, j, col) for col, (i, j) in enumerate(pairs)),
+        column_of={pair: col for col, pair in enumerate(pairs)},
+        res_columns=tuple(map(tuple, res_columns)),
+        hosp_columns=tuple(map(tuple, hosp_columns)),
+        res_rank=res_rank,
+        hosp_rank=hosp_rank,
     )
 
 

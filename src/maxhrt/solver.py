@@ -7,7 +7,8 @@
    capacitated bipartite matching relaxation that ignores stability rows.
    While the incumbent is below it, up to PROMOTION_TRIES seeded
    promotion starts (Király's deferred acceptance) are tried, each before
-   the deadline; the largest is kept. An incumbent that meets the root
+   the deadline; the largest is kept. A seed only breaks residents' ties,
+   so without any there is one try. An incumbent that meets the root
    bound is optimal, proved at the root node.
 3. **Branch and bound**, depth first. Branching picks an unfixed pair of a
    currently unmatched resident, following the relaxation's placement
@@ -25,6 +26,9 @@
    node's placement (fixed residents moved in, pairs fixed to 0 and
    overfull hospitals cleared) and then augments only the residents left
    unplaced, so the bound is exact integral arithmetic throughout.
+
+The search reads the model's pair index (each agent's columns best first,
+and each pair's ranks) and never the model's rows.
 
 Every matching that becomes the incumbent (warm start, promotion start or
 search leaf) passes `core.certify` against the model's instance.
@@ -157,9 +161,6 @@ def upper_bound(model: IpModel, fixing: Mapping[int, int]) -> int:
     n1, n2 = model.instance.n1, model.instance.n2
     caps = [model.instance.capacity(j) for j in range(1, n2 + 1)]
     var_hosp = [v.hospital - 1 for v in model.variables]
-    res_vars: list[list[int]] = [[] for _ in range(n1)]
-    for v in model.variables:
-        res_vars[v.resident - 1].append(v.column)
     state = [_UNFIXED] * model.num_variables
     res_match = [-1] * n1
     load = [0] * n2
@@ -178,21 +179,7 @@ def upper_bound(model: IpModel, fixing: Mapping[int, int]) -> int:
             load[j] += 1
             if load[j] > caps[j]:
                 raise ValueError(f"capacity of h{v.hospital} exceeded by fixing")
-    return _max_placement(caps, var_hosp, res_vars, state, res_match, [-1] * n1)
-
-
-def extract_matching(model: IpModel, vector: Sequence[int]) -> Matching:
-    """Decode a feasible 0/1 vector into the matching it represents."""
-    if len(vector) != model.num_variables:
-        raise ValueError("vector length does not match variable count")
-    if any(x != 0 and x != 1 for x in vector):
-        raise ValueError("vector must be 0/1 (no fractional values)")
-    as_ints = [int(x) for x in vector]
-    if not model.is_feasible(as_ints):
-        raise ValueError("vector violates the model constraints")
-    return Matching.from_pairs(
-        (v.resident, v.hospital) for v in model.variables if as_ints[v.column] == 1
-    )
+    return _max_placement(caps, var_hosp, model.res_columns, state, res_match, [-1] * n1)
 
 
 class _Search:
@@ -200,28 +187,18 @@ class _Search:
         self.model = model
         self.options = options
         instance = model.instance
-        ranks = build_rank_table(instance)
-        self.ranks = ranks
+        # certification reads ranks of its own, not the ones the model came from
+        self.ranks = build_rank_table(instance)
         nvars = model.num_variables
         self.n1, self.n2 = instance.n1, instance.n2
         self.caps = [instance.capacity(j) for j in range(1, self.n2 + 1)]
         self.var_res = [v.resident - 1 for v in model.variables]
         self.var_hosp = [v.hospital - 1 for v in model.variables]
-        self.var_rrank = [
-            int(ranks.resident_rank(v.resident, v.hospital)) for v in model.variables
-        ]
-        self.var_hrank = [
-            int(ranks.hospital_rank(v.hospital, v.resident)) for v in model.variables
-        ]
-        self.res_vars: list[list[int]] = [[] for _ in range(self.n1)]
-        self.hosp_vars: list[list[int]] = [[] for _ in range(self.n2)]
-        for col in range(nvars):
-            self.res_vars[self.var_res[col]].append(col)
-            self.hosp_vars[self.var_hosp[col]].append(col)
-        for i in range(self.n1):
-            self.res_vars[i].sort(key=lambda c: (self.var_rrank[c], c))
-        for j in range(self.n2):
-            self.hosp_vars[j].sort(key=lambda c: (self.var_hrank[c], c))
+        # the model's pair index: each agent's columns best first, their ranks
+        self.var_rrank = model.res_rank
+        self.var_hrank = model.hosp_rank
+        self.res_vars = model.res_columns
+        self.hosp_vars = model.hosp_columns
 
         rng = random.Random(options.seed)
         priority = list(range(nvars))
@@ -454,10 +431,13 @@ class _Search:
         """Raise the incumbent toward `target` with seeded promotion starts.
 
         Stops once the incumbent meets `target` (then it is proved optimal),
-        after PROMOTION_TRIES seeds, or at the deadline.
+        after PROMOTION_TRIES seeds (one if no resident list has a tie), or
+        at the deadline.
         """
         instance = self.model.instance
-        for k in range(PROMOTION_TRIES):
+        # a seed only shuffles residents' ties: with none, every try is the same
+        tied = any(not plist.is_strict() for plist in instance.residents)
+        for k in range(PROMOTION_TRIES if tied else 1):
             if self.incumbent_size >= target or time.monotonic() > deadline:
                 return
             seed = self.options.seed + k

@@ -6,19 +6,82 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.optimize import Bounds, LinearConstraint as ScipyRow, milp
 
 from maxhrt.core import Matching, build_rank_table, is_stable, matching_size
 from maxhrt.instance_io import parse_instance
-from maxhrt.ip_model import build_model, export_lp
+from maxhrt.ip_model import LinearConstraint, build_model, export_lp
 from maxhrt.oracle import OracleLimit, enumerate_stable_matchings, max_stable_size
 from maxhrt.generator import GeneratorConfig, generate
 
 from conftest import M1_PAIRS
+from strategies import instances_strategy
 
 
 def _model(instance):
     return build_model(instance, build_rank_table(instance))
+
+
+def reference_rows(instance, ranks):
+    """Every row built eagerly, each stability row by filtering on ranks."""
+    pairs = instance.acceptable_pairs()
+    res_columns = [[] for _ in range(instance.n1)]
+    hosp_columns = [[] for _ in range(instance.n2)]
+    for col, (i, j) in enumerate(pairs):
+        res_columns[i - 1].append(col)
+        hosp_columns[j - 1].append(col)
+    rows = [
+        LinearConstraint(f"res_{i}", tuple((col, 1) for col in cols), 1, "resident")
+        for i, cols in enumerate(res_columns, start=1)
+    ]
+    rows += [
+        LinearConstraint(
+            f"cap_{j}", tuple((col, 1) for col in cols), instance.capacity(j), "capacity"
+        )
+        for j, cols in enumerate(hosp_columns, start=1)
+    ]
+    for i, j in pairs:
+        cap = instance.capacity(j)
+        coeff = {}
+        if cap > 0:
+            for col in res_columns[i - 1]:
+                q = pairs[col][1]
+                if ranks.resident_rank(i, q) <= ranks.resident_rank(i, j):
+                    coeff[col] = coeff.get(col, 0) - cap
+        for col in hosp_columns[j - 1]:
+            p = pairs[col][0]
+            if ranks.hospital_rank(j, p) <= ranks.hospital_rank(j, i):
+                coeff[col] = coeff.get(col, 0) - 1
+        rows.append(
+            LinearConstraint(
+                f"stab_{i}_{j}", tuple(sorted(coeff.items())), -cap, "stability", (i, j)
+            )
+        )
+    return rows
+
+
+def test_fig1_rows_equal_reference(fig1, fig1_ranks):
+    assert list(_model(fig1).constraints) == reference_rows(fig1, fig1_ranks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance=instances_strategy(max_residents=7, max_hospitals=4))
+def test_rows_equal_reference(instance):
+    # ties on both sides, and capacities from 0 to 3
+    ranks = build_rank_table(instance)
+    assert list(_model(instance).constraints) == reference_rows(instance, ranks)
+
+
+def test_fig1_pair_index(fig1):
+    # h2 ranks r1, r6, then r4 and r5 tied (kept in column order); h3 ranks r5 first
+    model = _model(fig1)
+    col = model.column_of
+    assert model.hosp_columns[1] == (col[1, 2], col[6, 2], col[4, 2], col[5, 2])
+    assert [model.hosp_rank[c] for c in model.hosp_columns[1]] == [1, 2, 3, 3]
+    assert model.hosp_columns[2] == (col[5, 3], col[3, 3])
+    assert model.res_columns[4] == (col[5, 2], col[5, 3])
+    assert [model.res_rank[c] for c in model.res_columns[4]] == [1, 2]
 
 
 def test_fig1_model_shape(fig1):

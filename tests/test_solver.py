@@ -1,6 +1,7 @@
 """Branch-and-bound solver against the enumeration oracle and its contracts."""
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -11,15 +12,15 @@ from scipy.sparse import csr_matrix
 
 from maxhrt.core import Matching, build_rank_table, is_stable, validate_matching
 from maxhrt.generator import GeneratorConfig, generate, sfas_like
-from maxhrt.heuristics import warm_start
-from maxhrt.ip_model import build_model
+from maxhrt.heuristics import promotion_start, warm_start
+from maxhrt.ip_model import IpModel, build_model
 from maxhrt.oracle import OracleLimit, max_stable_size
 from maxhrt.preprocess import ResidentTiesError, reduce_instance
 from maxhrt.solver import (
+    PROMOTION_TRIES,
     SolveOptions,
     SolveStatus,
     _Search,
-    extract_matching,
     solve,
     upper_bound,
 )
@@ -391,21 +392,33 @@ def test_upper_bound_rejects_bad_fixing(fig1):
         upper_bound(model, {-1: 0})
 
 
-def test_extract_matching_round_trip(fig1):
-    model = _model(fig1)
-    vector = model.encode(Matching.from_pairs(M1_PAIRS))
-    matching = extract_matching(model, vector)
-    assert matching == Matching.from_pairs(M1_PAIRS)
-    assert model.encode(matching) == vector
+def test_solve_never_reads_rows(fig1, monkeypatch):
+    # the search works from the pair index alone; the rows are for export
+    models = [_model(fig1), _pipeline_model(generate(sfas_like(150, 0.5, 2)))]
+
+    def no_rows(model):
+        raise AssertionError("solve read the model's rows")
+
+    monkeypatch.setattr(IpModel, "constraints", property(no_rows))
+    for model in models:
+        assert solve(model, SolveOptions(time_limit=60.0)).status is SolveStatus.OPTIMAL
 
 
-def test_extract_rejects_zero_vector(single_pair):
-    model = _model(single_pair)
-    with pytest.raises(ValueError, match="constraints"):
-        extract_matching(model, [0])
+# A seed only shuffles residents' ties, so strict resident lists get one try.
+@pytest.mark.parametrize(
+    "config, tries",
+    [pytest.param(sfas_like(150, 0.5, 7), 1, id="sfas-150-0.5-7"),
+     pytest.param(GeneratorConfig(150, 10, 150, 5, 0.3, 0.5, seed=0), PROMOTION_TRIES,
+                  id="two-sided-150-0")],
+)
+def test_primal_phase_tries(config, tries, monkeypatch):
+    search = _Search(_pipeline_model(generate(config)), SolveOptions())
+    calls = []
 
+    def counted(instance, seed):
+        calls.append(seed)
+        return promotion_start(instance, seed)
 
-def test_extract_rejects_fractional(single_pair):
-    model = _model(single_pair)
-    with pytest.raises(ValueError, match="fractional"):
-        extract_matching(model, [0.5])
+    monkeypatch.setattr("maxhrt.solver.promotion_start", counted)
+    search._primal_phase(search.n1 + 1, time.monotonic() + 60.0)  # target out of reach
+    assert len(calls) == tries

@@ -3,13 +3,21 @@
 1. **Warm start.** A weakly stable matching (tie-breaking plus deferred
    acceptance, computed if not supplied) is the first incumbent, so a
    cutoff at any point still returns a matching.
-2. **Primal phase.** After root propagation, the root bound is a
-   capacitated bipartite matching relaxation that ignores stability rows.
-   While the incumbent is below it, up to PROMOTION_TRIES seeded
-   promotion starts (Király's deferred acceptance) are tried, each before
-   the deadline; the largest is kept. A seed only breaks residents' ties,
-   so without any there is one try. An incumbent that meets the root
-   bound is optimal, proved at the root node.
+2. **Root.** Root propagation fixes pairs to hospitals with no post to 0,
+   then the root bound is a capacitated bipartite matching relaxation that
+   ignores stability rows. While the incumbent is below it, up to
+   PROMOTION_TRIES seeded promotion starts (Király's deferred acceptance)
+   are tried, each before the deadline; the largest is kept. A seed only
+   breaks residents' ties, so without any there is one try. An incumbent
+   that meets the root bound is optimal, proved at the root node. An
+   incumbent one below it leaves only maximum placements of the
+   relaxation to find, so the root fixes to 0 every pair in none of them
+   and to 1 every pair in all of them, read off the Dulmage-Mendelsohn
+   structure of one maximum placement (as in Régin's matching-based
+   filtering), then propagates and recomputes the bound until nothing new
+   is fixed. A failed propagation, or a bound that drops to the
+   incumbent, proves the incumbent optimal at the root. These fixings
+   are made before the search's first branch and are never undone.
 3. **Branch and bound**, depth first. Branching picks an unfixed pair of a
    currently unmatched resident, following the relaxation's placement
    (seeded tie-break), and tries x=1 first. A node whose fresh placement
@@ -42,12 +50,12 @@ import enum
 import random
 import time
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 from .core import Matching, build_rank_table, certify, matching_size
 from .heuristics import promotion_start
 from .heuristics import warm_start as default_warm_start
 from .ip_model import IpModel
+from .relaxation import max_placement, structural_fixings
 
 _UNFIXED = -1
 _BIG = 1 << 30
@@ -83,103 +91,6 @@ class SolveOutcome:
     nodes: int
     wall_time: float
     proof_bound: int
-
-
-def _max_placement(
-    caps: Sequence[int],
-    var_hosp: Sequence[int],
-    res_vars: Sequence[Sequence[int]],
-    state: Sequence[int],
-    res_match: Sequence[int],
-    place: list[int],
-) -> int:
-    """Most residents placeable ignoring stability, grown from `place`.
-
-    `place[i]` is the column resident i starts on, or -1. A resident with
-    `res_match[i] >= 0` is fixed there and never moves. The start is
-    repaired first: fixed residents move to their column, placements on a
-    column fixed to 0 are dropped, and non-fixed holders beyond a
-    hospital's capacity are evicted (highest resident index first). Then
-    each unplaced resident gets one augmenting-path search over its columns
-    not fixed to 0. By Kuhn's argument the result is maximum whatever the
-    start. `place` is updated in place; returns the number placed.
-    """
-    n2 = len(caps)
-    holders: list[list[int]] = [[] for _ in range(n2)]
-    for i, m in enumerate(res_match):
-        if m >= 0:
-            place[i] = m
-            holders[var_hosp[m]].append(i)
-    for i, col in enumerate(place):
-        if col < 0 or res_match[i] >= 0:
-            continue
-        j = var_hosp[col]
-        if state[col] == 0 or len(holders[j]) >= caps[j]:
-            place[i] = -1
-        else:
-            holders[j].append(i)
-
-    visited = [0] * n2
-    stamp = 0
-
-    def augment(i: int) -> bool:
-        for col in res_vars[i]:
-            if state[col] == 0:
-                continue
-            j = var_hosp[col]
-            if visited[j] == stamp:
-                continue
-            visited[j] = stamp
-            if len(holders[j]) < caps[j]:
-                holders[j].append(i)
-                place[i] = col
-                return True
-            for p in list(holders[j]):
-                if res_match[p] < 0 and augment(p):
-                    holders[j].remove(p)
-                    holders[j].append(i)
-                    place[i] = col
-                    return True
-        return False
-
-    placed = 0
-    for i, col in enumerate(place):
-        if col >= 0:
-            placed += 1
-        else:
-            stamp += 1
-            if augment(i):
-                placed += 1
-    return placed
-
-
-def upper_bound(model: IpModel, fixing: Mapping[int, int]) -> int:
-    """Best conceivable completion of a partial fixing, stability ignored.
-
-    The fixing must not already violate the resident or capacity rows.
-    """
-    n1, n2 = model.instance.n1, model.instance.n2
-    caps = [model.instance.capacity(j) for j in range(1, n2 + 1)]
-    var_hosp = [v.hospital - 1 for v in model.variables]
-    state = [_UNFIXED] * model.num_variables
-    res_match = [-1] * n1
-    load = [0] * n2
-    for col, value in fixing.items():
-        if not 0 <= col < model.num_variables:
-            raise ValueError(f"fixing names column {col}, which is not in the model")
-        if value not in (0, 1):
-            raise ValueError(f"fixing for column {col} must be 0 or 1")
-        state[col] = value
-        if value == 1:
-            v = model.variables[col]
-            i, j = v.resident - 1, v.hospital - 1
-            if res_match[i] >= 0:
-                raise ValueError(f"resident r{v.resident} fixed to two hospitals")
-            res_match[i] = col
-            load[j] += 1
-            if load[j] > caps[j]:
-                raise ValueError(f"capacity of h{v.hospital} exceeded by fixing")
-    return _max_placement(caps, var_hosp, model.res_columns, state, res_match, [-1] * n1)
 
 
 class _Search:
@@ -295,6 +206,12 @@ class _Search:
             if not res_dirty[i]:
                 res_dirty[i] = True
                 self.dirty_res.append(i)
+
+    def _propagate_root(self) -> bool:
+        """Root propagation; a pair to a hospital with no post is fixed to 0."""
+        return self._propagate(
+            [(w, 0) for j, c in enumerate(self.caps) if c == 0 for w in self.hosp_vars[j]]
+        )
 
     def _best_rank(self, i: int) -> int:
         m = self.res_match[i]
@@ -458,9 +375,29 @@ class _Search:
 
     def _relaxation_bound(self) -> int:
         """The relaxation's maximum, repairing the previous placement."""
-        return _max_placement(
+        return max_placement(
             self.caps, self.var_hosp, self.res_vars, self.state, self.res_match, self.guide
         )
+
+    def _structural_fixings(self) -> list[tuple[int, int]]:
+        """The fixings every maximum placement agrees on; `self.guide` is one."""
+        return structural_fixings(
+            self.caps, self.var_res, self.var_hosp, self.res_vars, self.hosp_vars,
+            self.state, self.res_match, self.guide,
+        )
+
+    def _fix_tight_root(self) -> bool:
+        """Fix what every maximum placement agrees on, to a fixpoint.
+
+        Called at a root whose incumbent is one below the relaxation, where
+        any better matching is a maximum placement. Returns whether the
+        fixings prove the incumbent optimal: propagation fails, or the
+        relaxation drops to the incumbent.
+        """
+        while fixings := self._structural_fixings():
+            if not self._propagate(fixings) or self._relaxation_bound() <= self.incumbent_size:
+                return True
+        return False
 
     def _select_guided(self) -> int:
         """Unfixed pair of an unmatched resident along the relaxation guide."""
@@ -495,11 +432,13 @@ class _Search:
     def run(self) -> SolveOutcome:
         start = time.monotonic()
         deadline = start + self.options.time_limit
-        if not self._propagate([]):
+        if not self._propagate_root():
             raise SolverInternalError("root propagation found no stable matching")
         self.nodes = 1
         root_bound = self._relaxation_bound()
         self._primal_phase(root_bound, deadline)
+        if self.incumbent_size == root_bound - 1 and self._fix_tight_root():
+            root_bound = self.incumbent_size  # no better matching is left
         timed_out = False
 
         if self.incumbent_size < root_bound:

@@ -10,19 +10,28 @@ from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_matrix
 
-from maxhrt.core import Matching, build_rank_table, is_stable, validate_matching
+from maxhrt.core import (
+    Hospital,
+    Instance,
+    Matching,
+    PreferenceList,
+    build_rank_table,
+    is_stable,
+    validate_matching,
+)
 from maxhrt.generator import GeneratorConfig, generate, sfas_like
 from maxhrt.heuristics import promotion_start, warm_start
 from maxhrt.ip_model import IpModel, build_model
 from maxhrt.oracle import OracleLimit, max_stable_size
 from maxhrt.preprocess import ResidentTiesError, reduce_instance
+from maxhrt.relaxation import max_placement
 from maxhrt.solver import (
+    _UNFIXED,
     PROMOTION_TRIES,
     SolveOptions,
     SolveStatus,
     _Search,
     solve,
-    upper_bound,
 )
 
 from conftest import M1_PAIRS
@@ -40,6 +49,36 @@ def _pipeline_model(instance):
     except ResidentTiesError:
         pass
     return _model(instance)
+
+
+def upper_bound(model, fixing):
+    """Best conceivable completion of a partial fixing, stability ignored.
+
+    The reference for the search's relaxation, solved from an empty start.
+    The fixing must not already violate the resident or capacity rows.
+    """
+    n1, n2 = model.instance.n1, model.instance.n2
+    caps = [model.instance.capacity(j) for j in range(1, n2 + 1)]
+    var_hosp = [v.hospital - 1 for v in model.variables]
+    state = [_UNFIXED] * model.num_variables
+    res_match = [-1] * n1
+    load = [0] * n2
+    for col, value in fixing.items():
+        if not 0 <= col < model.num_variables:
+            raise ValueError(f"fixing names column {col}, which is not in the model")
+        if value not in (0, 1):
+            raise ValueError(f"fixing for column {col} must be 0 or 1")
+        state[col] = value
+        if value == 1:
+            v = model.variables[col]
+            i, j = v.resident - 1, v.hospital - 1
+            if res_match[i] >= 0:
+                raise ValueError(f"resident r{v.resident} fixed to two hospitals")
+            res_match[i] = col
+            load[j] += 1
+            if load[j] > caps[j]:
+                raise ValueError(f"capacity of h{v.hospital} exceeded by fixing")
+    return max_placement(caps, var_hosp, model.res_columns, state, res_match, [-1] * n1)
 
 
 def small_instances(count, seed, max_residents=9):
@@ -153,7 +192,7 @@ def test_failed_propagation_undoes_to_consistent_counters():
     checked = 0
     for instance in small_instances(40, seed=33):
         search = _Search(_model(instance), SolveOptions())
-        if not search._propagate([]):
+        if not search._propagate_root():
             continue
         unfixed = [
             [col for col in cols if search.state[col] < 0] for cols in search.res_vars
@@ -267,7 +306,7 @@ def test_incremental_node_evaluation_matches_full(data):
         return result
 
     search._scan = checked_scan
-    assert search._propagate([])
+    assert search._propagate_root()
     _check_relaxation(search, model)
     marks = []
     for _ in range(data.draw(st.integers(1, 15))):
@@ -285,6 +324,64 @@ def test_incremental_node_evaluation_matches_full(data):
                 search._undo_to(mark)
         checked_scan()
         _check_relaxation(search, model)
+
+
+def test_root_propagation_closes_capacity_zero_pairs():
+    # r1 lists h1, which has no post, then h2; r2 lists h2. Left open,
+    # (r1, h1) would count as r1's best option and as a post that exists.
+    instance = Instance(
+        residents=(PreferenceList.strict((1, 2)), PreferenceList.strict((2,))),
+        hospitals=(Hospital(0, PreferenceList.strict((1,))),
+                   Hospital(1, PreferenceList.strict((1, 2)))),
+    )
+    model = _model(instance)
+    search = _Search(model, SolveOptions())
+    assert search._propagate_root()
+    assert search.state[model.column_of[(1, 1)]] == 0
+    assert search._best_rank(0) == 2
+    assert search.res_nonzero == [1, 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_structural_fixings_match_brute_force(data):
+    # After random propagations, a pair is fixed to 0 exactly when forcing
+    # it to 1 lowers the relaxation, and to 1 exactly when forcing it to 0
+    # does: the pairs in no maximum placement and those in all of them.
+    model = _model(data.draw(instances_strategy(max_residents=8, max_hospitals=4)))
+    search = _Search(model, SolveOptions())
+    assert search._propagate_root()
+    for _ in range(data.draw(st.integers(0, 6))):
+        unfixed = [col for col, value in enumerate(search.state) if value < 0]
+        if not unfixed:
+            break
+        cols = data.draw(st.lists(st.sampled_from(unfixed), min_size=1, max_size=2))
+        mark = len(search.trail)
+        if not search._propagate([(col, data.draw(st.integers(0, 1))) for col in cols]):
+            search._undo_to(mark)
+    fixing = {col: value for col, value in enumerate(search.state) if value >= 0}
+    bound = search._relaxation_bound()
+    fixings = search._structural_fixings()
+    unfixed = [col for col, value in enumerate(search.state) if value < 0]
+    assert len(fixings) == len(set(fixings))
+    assert {col for col, value in fixings if value == 0} == {
+        col for col in unfixed if upper_bound(model, {**fixing, col: 1}) < bound
+    }
+    assert {col for col, value in fixings if value == 1} == {
+        col for col in unfixed if upper_bound(model, {**fixing, col: 0}) < bound
+    }
+
+
+def test_structural_fixings_keep_alternating_cycles():
+    # r1 and r2 each tie h1 with h2, both with one post: every pair is in a
+    # maximum placement, though off the placement no path reaches an
+    # unplaced resident or a spare post; only the cycle through both keeps them.
+    tied = PreferenceList(((1, 2),))
+    instance = Instance(residents=(tied, tied), hospitals=(Hospital(1, tied), Hospital(1, tied)))
+    search = _Search(_model(instance), SolveOptions())
+    assert search._propagate_root()
+    assert search._relaxation_bound() == 2
+    assert search._structural_fixings() == []
 
 
 def highs_optimum(model):
@@ -316,14 +413,16 @@ def _sfas(n1, tie_density, seed):
 # SFAS-like instances beyond the oracle's reach. (100, 0.85, 3), (100, 0.85, 7)
 # and (150, 0.5, 2) are ones where the search once claimed Optimal at 99, 98
 # and 145 against optima of 100, 99 and 146. Within the 1 s limit,
-# (150, 0.5, 2) and (300, 0.5, 5) are proved only after a real search of
-# thousands of nodes and (100, 0.85, 7) times out; the others are proved at
-# the root node. The two-sided instance has ties on both sides, so it is
-# solved unreduced.
+# (150, 0.5, 2) is proved only after a search of thousands of nodes,
+# (150, 0.5, 7) and (300, 0.5, 5) after the root's fixings from the
+# relaxation's structure and a short search, and (100, 0.85, 7) times out;
+# the others are proved at the root node. The two-sided instance has ties on
+# both sides, so it is solved unreduced.
 @pytest.mark.parametrize(
     "config",
     [_sfas(40, 0.85, 0), _sfas(70, 0.5, 0), _sfas(100, 0.5, 3), _sfas(100, 0.85, 3),
-     _sfas(100, 0.85, 7), _sfas(150, 0.5, 2), _sfas(150, 0.85, 4), _sfas(300, 0.5, 5),
+     _sfas(100, 0.85, 7), _sfas(150, 0.5, 2), _sfas(150, 0.5, 7), _sfas(150, 0.85, 4),
+     _sfas(300, 0.5, 5),
      pytest.param(GeneratorConfig(150, 10, 150, 5, 0.3, 0.5, seed=1), id="two-sided-150-1")],
 )
 def test_never_claims_beyond_highs(config):
@@ -355,6 +454,34 @@ def test_primal_phase_proves_at_root(config, optimum):
     assert outcome.nodes == 1
     assert outcome.objective == outcome.proof_bound == optimum
     assert is_stable(instance, build_rank_table(instance), outcome.matching)
+
+
+def test_tight_root_fixings_prove_in_few_nodes():
+    # The primal phase leaves 149 against a root bound of 150; without
+    # fixing pairs from the relaxation's structure, the proof took 6 047 nodes.
+    instance = generate(sfas_like(150, 0.5, 7))
+    outcome = solve(_pipeline_model(instance), SolveOptions(time_limit=60.0))
+    assert outcome.status is SolveStatus.OPTIMAL
+    assert outcome.objective == outcome.proof_bound == 149
+    assert outcome.nodes <= 50
+    assert is_stable(instance, build_rank_table(instance), outcome.matching)
+
+
+# Small instances where the primal phase ends one below the root bound and
+# the root's fixings alone prove the incumbent (7 and 15 nodes without them);
+# the second has ties on the residents' side.
+@pytest.mark.parametrize(
+    "config",
+    [GeneratorConfig(5, 3, 4, 2, 0.0, 0.5, seed=588093),
+     GeneratorConfig(9, 4, 9, 2, 0.5, 0.0, seed=545182)],
+)
+def test_tight_root_fixings_prove_at_root(config):
+    instance = generate(config)
+    outcome = solve(_model(instance))
+    assert outcome.status is SolveStatus.OPTIMAL
+    assert outcome.nodes == 1
+    assert outcome.objective == outcome.proof_bound
+    assert outcome.objective == max_stable_size(instance, OracleLimit(max_pairs=40))
 
 
 def test_rejects_bad_time_limit():

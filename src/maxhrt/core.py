@@ -9,7 +9,7 @@ other; ranks are finite exactly on acceptable pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 INFINITY = math.inf
@@ -192,11 +192,6 @@ class Matching:
         return hash(frozenset(self.assignment.items()))
 
 
-def matching_size(matching: Matching) -> int:
-    """Number of matched residents (the quantity being maximized)."""
-    return len(matching.assignment)
-
-
 @dataclass(frozen=True)
 class Violation:
     kind: str  # "capacity" | "acceptability" | "duplicate" | "range"
@@ -268,11 +263,6 @@ def blocking_pairs(
             if any(my_rank < ranks.hospital_rank(h, r) for r in holders):
                 out.append((i, h))
     return out
-
-
-def is_stable(instance: Instance, ranks: RankTable, matching: Matching) -> bool:
-    """True iff no acceptable pair blocks the matching."""
-    return not blocking_pairs(instance, ranks, matching)
 
 
 def certify(instance: Instance, ranks: RankTable, matching: Matching) -> str | None:

@@ -2,7 +2,7 @@
 
 Two constructions, both resident-proposing deferred acceptance:
 
-* `warm_start` breaks every tie by a seeded shuffle and runs plain
+* `warm_start` breaks every tie by a fixed shuffle and runs plain
   Gale–Shapley on the strict instance. A stable matching of the strict
   instance is weakly stable in the original.
 * `promotion_start` breaks only the residents' ties and keeps the
@@ -33,9 +33,9 @@ def _break_list(plist: PreferenceList, rng: random.Random) -> PreferenceList:
     return PreferenceList.strict(entries)
 
 
-def break_ties(instance: Instance, seed: int) -> Instance:
-    """Replace every tie by a seeded shuffle of its members; order across ties kept."""
-    rng = random.Random(seed)
+def break_ties(instance: Instance) -> Instance:
+    """Replace every tie by a fixed shuffle of its members; order across ties kept."""
+    rng = random.Random(0)
     residents = tuple(_break_list(p, rng) for p in instance.residents)
     hospitals = tuple(
         Hospital(h.capacity, _break_list(h.preferences, rng)) for h in instance.hospitals
@@ -110,10 +110,9 @@ def gale_shapley(instance: Instance) -> Matching:
     return _deferred_acceptance(instance, res_lists, promote=False)
 
 
-def warm_start(instance: Instance, seed: int = 0) -> Matching:
-    """A weakly stable matching of the instance, deterministic given seed."""
-    strict = break_ties(instance, seed)
-    return gale_shapley(strict)
+def warm_start(instance: Instance) -> Matching:
+    """A weakly stable matching of the instance: Gale–Shapley after `break_ties`."""
+    return gale_shapley(break_ties(instance))
 
 
 def promotion_start(instance: Instance, seed: int = 0) -> Matching:

@@ -33,12 +33,13 @@ from .core import Hospital, Instance, Matching, PreferenceList, validate_matchin
 
 @dataclass(frozen=True)
 class ParseDiagnostic:
+    """A warning about input that was accepted after a repair."""
+
     line: int
-    severity: str  # "warning" | "error"
     message: str
 
     def __str__(self) -> str:
-        return f"line {self.line}: {self.severity}: {self.message}"
+        return f"line {self.line}: warning: {self.message}"
 
 
 class ParseError(ValueError):
@@ -46,7 +47,6 @@ class ParseError(ValueError):
 
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
-        self.diagnostic = ParseDiagnostic(line, "error", message)
 
 
 _ID_RE = re.compile(r"([rh])([0-9]+)$")
@@ -173,18 +173,14 @@ def parse_instance(text: str) -> tuple[Instance, list[ParseDiagnostic]]:
     for i, h in sorted(res_pairs - hosp_pairs):
         warnings.append(
             ParseDiagnostic(
-                res_lines[i - 1],
-                "warning",
-                f"pruned one-sided pair (r{i}, h{h}): h{h} does not list r{i}",
+                res_lines[i - 1], f"pruned one-sided pair (r{i}, h{h}): h{h} does not list r{i}"
             )
         )
         res_lists[i - 1] = res_lists[i - 1].without({h})
     for r, j in sorted(hosp_pairs - res_pairs):
         warnings.append(
             ParseDiagnostic(
-                hosp_lines[j - 1],
-                "warning",
-                f"pruned one-sided pair (r{r}, h{j}): r{r} does not list h{j}",
+                hosp_lines[j - 1], f"pruned one-sided pair (r{r}, h{j}): r{r} does not list h{j}"
             )
         )
         hosp_lists[j - 1] = hosp_lists[j - 1].without({r})

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Instance, Matching, build_rank_table, is_stable
+from .core import Instance, Matching, blocking_pairs, build_rank_table
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def enumerate_stable_matchings(
             matching = Matching(
                 {r + 1: h for r, h in enumerate(assigned) if h is not None}
             )
-            if is_stable(instance, ranks, matching):
+            if not blocking_pairs(instance, ranks, matching):
                 found.add(matching)
             return
         for choice in options[i] + [None]:

@@ -10,16 +10,15 @@ its whole active tie, the tie's residents are provisionally pulled in
 pulled resident ranks strictly below the offering one is cut from its
 list. The active tie is the first nonempty tie after a hospital's least
 preferred current assignee, or its first nonempty tie while it has no
-assignees. Each round offers from the lowest-index eligible hospital (with
-a shuffle seed: a seeded choice among the eligible hospitals in index
-order). The pass keeps every eligible hospital's active tie and, after an
-offer, re-derives it only for the hospitals that round changed: the
-offering one and those that lost a pair, which include the previous
-hospitals of the residents it pulled in. Ties keep their original
-positions, so a hospital's active tie is found from the largest tie
-position among its assignees. A round costs O(n2) to select the offering
-hospital plus, for each hospital it changed, that hospital's assignee
-count and the emptied ties it skips.
+assignees. Each round offers from the lowest-index eligible hospital. The
+pass keeps every eligible hospital's active tie and, after an offer,
+re-derives it only for the hospitals that round changed: the offering one
+and those that lost a pair, which include the previous hospitals of the
+residents it pulled in. Ties keep their original positions, so a
+hospital's active tie is found from the largest tie position among its
+assignees. A round costs O(n2) to select the offering hospital plus, for
+each hospital it changed, that hospital's assignee count and the emptied
+ties it skips.
 
 Pass two (residents apply): free residents apply down their lists; once
 a hospital has at least as many provisional assignees as capacity, every
@@ -27,15 +26,10 @@ strict successor of its capacity-th-choice assignee is cut, freeing any
 of them that were provisionally assigned. Oversubscription is possible
 while the capacity-th assignee sits inside a tie; that is fine, the
 provisional assignment only drives deletions and is discarded.
-
-Both passes process candidates in index order; a seeded shuffle order is
-available because the preserved-stable-set guarantee must not depend on
-the processing order.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
 
 from .core import Hospital, Instance, PreferenceList
@@ -102,13 +96,10 @@ def _active_tie(work: _WorkingInstance, hospital: int, assignees: set[int]) -> l
     return []
 
 
-def hospitals_offer(
-    instance: Instance, shuffle_seed: int | None = None
-) -> tuple[Instance, set[Pair]]:
+def hospitals_offer(instance: Instance) -> tuple[Instance, set[Pair]]:
     """First reduction pass; returns the reduced instance and deleted pairs."""
     _require_strict_residents(instance)
     work = _WorkingInstance(instance)
-    rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
 
     assigned: dict[int, int] = {}
     assignees: list[set[int]] = [set() for _ in range(instance.n2)]
@@ -125,7 +116,7 @@ def hospitals_offer(
     for j in range(1, instance.n2 + 1):
         refresh(j)
     while offers:
-        j = rng.choice(sorted(offers)) if rng else min(offers)
+        j = min(offers)
         changed = {j}
         # Only hospitals below j on a resident's list lose pairs, so j's own
         # tie stays intact while it is walked. A pulled resident's previous
@@ -147,26 +138,17 @@ def hospitals_offer(
     return work.to_instance(), work.deleted
 
 
-def residents_apply(
-    instance: Instance, shuffle_seed: int | None = None
-) -> tuple[Instance, set[Pair]]:
+def residents_apply(instance: Instance) -> tuple[Instance, set[Pair]]:
     """Second reduction pass; returns the reduced instance and deleted pairs."""
     _require_strict_residents(instance)
     work = _WorkingInstance(instance)
-    rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
 
     assigned: dict[int, int] = {}
     count = [0] * instance.n2
     free = deque(range(1, instance.n1 + 1))
 
     while free:
-        if rng:
-            pick = rng.randrange(len(free))
-            free.rotate(-pick)
-            r = free.popleft()
-            free.rotate(pick)
-        else:
-            r = free.popleft()
+        r = free.popleft()
         prefs = work.res_lists[r - 1]
         if not prefs:
             continue
@@ -198,10 +180,8 @@ def residents_apply(
     return work.to_instance(), work.deleted
 
 
-def reduce_instance(
-    instance: Instance, shuffle_seed: int | None = None
-) -> tuple[Instance, set[Pair]]:
+def reduce_instance(instance: Instance) -> tuple[Instance, set[Pair]]:
     """Both passes in sequence; the stable-matching set is preserved."""
-    offered, deleted_first = hospitals_offer(instance, shuffle_seed)
-    reduced, deleted_second = residents_apply(offered, shuffle_seed)
+    offered, deleted_first = hospitals_offer(instance)
+    reduced, deleted_second = residents_apply(offered)
     return reduced, deleted_first | deleted_second

@@ -50,24 +50,44 @@ def max_placement(
     visited = [0] * n2
     stamp = 0
 
-    def augment(i: int) -> bool:
-        for col in res_vars[i]:
-            if state[col] == 0:
+    def augment(root: int) -> bool:
+        # Depth first with an explicit stack, so a path may be as long as
+        # there are hospitals. A frame is a resident on the path, its columns
+        # still to try, the column being tried and that hospital's holders
+        # still to try.
+        frames = [[root, iter(res_vars[root]), -1, iter(())]]
+        while frames:
+            frame = frames[-1]
+            p = next((p for p in frame[3] if res_match[p] < 0), -1)
+            if p >= 0:
+                frames.append([p, iter(res_vars[p]), -1, iter(())])
                 continue
-            j = var_hosp[col]
-            if visited[j] == stamp:
-                continue
-            visited[j] = stamp
-            if len(holders[j]) < caps[j]:
-                holders[j].append(i)
-                place[i] = col
-                return True
-            for p in list(holders[j]):
-                if res_match[p] < 0 and augment(p):
-                    holders[j].remove(p)
+            i = frame[0]
+            for col in frame[1]:
+                if state[col] == 0:
+                    continue
+                j = var_hosp[col]
+                if visited[j] == stamp:
+                    continue
+                visited[j] = stamp
+                if len(holders[j]) < caps[j]:
+                    # a spare post: each resident on the path takes its column
                     holders[j].append(i)
                     place[i] = col
+                    frames.pop()
+                    while frames:
+                        parent, _, col, _ = frames.pop()
+                        j = var_hosp[col]
+                        holders[j].remove(i)
+                        holders[j].append(parent)
+                        place[parent] = col
+                        i = parent
                     return True
+                frame[2] = col
+                frame[3] = iter(list(holders[j]))
+                break
+            else:
+                frames.pop()
         return False
 
     placed = 0

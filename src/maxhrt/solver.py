@@ -5,8 +5,8 @@
    cutoff at any point still returns a matching.
 2. **Root.** Root propagation fixes pairs to hospitals with no post to 0,
    then the root bound is a capacitated bipartite matching relaxation that
-   ignores stability rows. While the incumbent is below it, up to
-   PROMOTION_TRIES seeded promotion starts (Király's deferred acceptance)
+   ignores stability rows. While the incumbent is below it, promotion
+   starts (Király's deferred acceptance) with seeds 0 to PROMOTION_TRIES - 1
    are tried, each before the deadline; the largest is kept. A seed only
    breaks residents' ties, so without any there is one try. An incumbent
    that meets the root bound is optimal, proved at the root node. An
@@ -20,10 +20,11 @@
    are made before the search's first branch and are never undone.
 3. **Branch and bound**, depth first. Branching picks an unfixed pair of a
    currently unmatched resident, following the relaxation's placement
-   (seeded tie-break), and tries x=1 first. A node whose fresh placement
-   offers no unfixed pair is closed: its bound is the number of residents
-   already matched, reached only by the zero completion, which
-   propagation has already stored or rejected. Propagation applies the
+   (best resident rank first, ties broken by a fixed permutation of the
+   pairs), and tries x=1 first. A node whose fresh placement offers no
+   unfixed pair is closed: its bound is the number of residents already
+   matched, reached only by the zero completion, which propagation has
+   already stored or rejected. Propagation applies the
    one-hospital-per-resident and capacity rows eagerly; stability rows
    are read as "the resident gets this hospital or better, or the
    hospital fills up with residents it ranks at least as high", which
@@ -51,7 +52,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .core import Matching, build_rank_table, certify, matching_size
+from .core import Matching, build_rank_table, certify
 from .heuristics import promotion_start
 from .heuristics import warm_start as default_warm_start
 from .ip_model import IpModel
@@ -76,7 +77,6 @@ class SolverInternalError(RuntimeError):
 class SolveOptions:
     time_limit: float = 300.0
     warm_start: Matching | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.time_limit > 0:
@@ -111,10 +111,9 @@ class _Search:
         self.res_vars = model.res_columns
         self.hosp_vars = model.hosp_columns
 
-        rng = random.Random(options.seed)
-        priority = list(range(nvars))
-        rng.shuffle(priority)
-        self.priority = priority
+        # the branching tie-break: a fixed permutation of the columns
+        self.priority = list(range(nvars))
+        random.Random(0).shuffle(self.priority)
 
         self.state = [_UNFIXED] * nvars
         self.trail: list[int] = []
@@ -342,24 +341,23 @@ class _Search:
         if problem is not None:
             raise SolverInternalError(f"{source} {problem}")
         self.incumbent = matching
-        self.incumbent_size = matching_size(matching)
+        self.incumbent_size = len(matching)
 
     def _primal_phase(self, target: int, deadline: float) -> None:
-        """Raise the incumbent toward `target` with seeded promotion starts.
+        """Raise the incumbent toward `target` with promotion starts.
 
         Stops once the incumbent meets `target` (then it is proved optimal),
-        after PROMOTION_TRIES seeds (one if no resident list has a tie), or
-        at the deadline.
+        after seeds 0 to PROMOTION_TRIES - 1 (only seed 0 if no resident
+        list has a tie), or at the deadline.
         """
         instance = self.model.instance
         # a seed only shuffles residents' ties: with none, every try is the same
         tied = any(not plist.is_strict() for plist in instance.residents)
-        for k in range(PROMOTION_TRIES if tied else 1):
+        for seed in range(PROMOTION_TRIES if tied else 1):
             if self.incumbent_size >= target or time.monotonic() > deadline:
                 return
-            seed = self.options.seed + k
             candidate = promotion_start(instance, seed)
-            if matching_size(candidate) > self.incumbent_size:
+            if len(candidate) > self.incumbent_size:
                 self._adopt(candidate, f"promotion start (seed {seed})")
 
     # -- bounding -----------------------------------------------------------
@@ -501,12 +499,12 @@ def solve(model: IpModel, options: SolveOptions | None = None) -> SolveOutcome:
 
     initial = options.warm_start
     if initial is None:
-        initial = default_warm_start(instance, options.seed)
+        initial = default_warm_start(instance)
     problem = certify(instance, search.ranks, initial)
     if problem is not None:
         raise ValueError(f"warm start {problem}")
     model.encode(initial)  # every warm-start pair must be a model variable
 
     search.incumbent = initial
-    search.incumbent_size = matching_size(initial)
+    search.incumbent_size = len(initial)
     return search.run()

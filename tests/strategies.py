@@ -1,4 +1,4 @@
-"""Hypothesis strategies for small random instances and matchings."""
+"""Hypothesis strategies for small random instances and matchings, and relabeling."""
 
 from hypothesis import strategies as st
 
@@ -57,3 +57,35 @@ def matchings_for(draw, instance, valid=True):
             assignment[i] = choice
             load[choice] += 1
     return Matching(assignment)
+
+
+def relabel(instance, rng):
+    """The instance with resident and hospital ids permuted by `rng`.
+
+    Returns (relabeled instance, resident map, hospital map); each map
+    sends an old id to its new one, and `carry` moves a matching across.
+    Lists keep their ties and their order, so only the ids change.
+    """
+    res_ids = list(range(1, instance.n1 + 1))
+    hosp_ids = list(range(1, instance.n2 + 1))
+    rng.shuffle(res_ids)
+    rng.shuffle(hosp_ids)
+    res_map = dict(zip(range(1, instance.n1 + 1), res_ids))
+    hosp_map = dict(zip(range(1, instance.n2 + 1), hosp_ids))
+
+    def mapped(plist, ids):
+        return PreferenceList(tuple(tuple(ids[a] for a in group) for group in plist.groups))
+
+    residents = [None] * instance.n1
+    for i, plist in enumerate(instance.residents, start=1):
+        residents[res_map[i] - 1] = mapped(plist, hosp_map)
+    hospitals = [None] * instance.n2
+    for j, hosp in enumerate(instance.hospitals, start=1):
+        hospitals[hosp_map[j] - 1] = Hospital(hosp.capacity, mapped(hosp.preferences, res_map))
+    relabeled = Instance(residents=tuple(residents), hospitals=tuple(hospitals))
+    return relabeled, res_map, hosp_map
+
+
+def carry(matching, res_map, hosp_map):
+    """The matching under the id maps that `relabel` returns."""
+    return Matching({res_map[r]: hosp_map[h] for r, h in matching.assignment.items()})

@@ -15,8 +15,7 @@ from maxhrt.core import (
     PreferenceList,
     blocking_pairs,
     build_rank_table,
-    is_stable,
-    matching_size,
+    certify,
     validate_matching,
 )
 
@@ -63,12 +62,12 @@ def test_blocking_pair_underfull_hospital(fig1, fig1_ranks):
 
 
 def test_m0_and_m1_stable(fig1, fig1_ranks, m0, m1):
-    assert is_stable(fig1, fig1_ranks, m0)
-    assert is_stable(fig1, fig1_ranks, m1)
+    assert certify(fig1, fig1_ranks, m0) is None
+    assert certify(fig1, fig1_ranks, m1) is None
 
 
 def test_empty_matching_unstable(fig1, fig1_ranks):
-    assert not is_stable(fig1, fig1_ranks, Matching({}))
+    assert certify(fig1, fig1_ranks, Matching({})) is not None
 
 
 def test_validate_m1_clean(fig1, m1):
@@ -91,9 +90,9 @@ def test_validate_duplicate_assignment(fig1):
 
 
 def test_matching_sizes(m0, m1):
-    assert matching_size(m0) == 5
-    assert matching_size(m1) == 6
-    assert matching_size(Matching({})) == 0
+    assert len(m0) == 5
+    assert len(m1) == 6
+    assert len(Matching({})) == 0
 
 
 def test_instance_rejects_one_sided_pair():
@@ -116,7 +115,7 @@ def test_capacity_zero_hospital_accepted():
     )
     ranks = build_rank_table(inst)
     # capacity-0 hospitals never block and never match
-    assert is_stable(inst, ranks, Matching({}))
+    assert certify(inst, ranks, Matching({})) is None
 
 
 def _blocking_pairs_by_hospital(instance, ranks, matching):
@@ -150,7 +149,7 @@ def test_stability_scans_agree(data):
     pairwise = sorted(blocking_pairs(instance, ranks, matching))
     per_hospital = _blocking_pairs_by_hospital(instance, ranks, matching)
     assert pairwise == per_hospital
-    assert is_stable(instance, ranks, matching) == (not per_hospital)
+    assert (certify(instance, ranks, matching) is None) == (not per_hospital)
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxhrt.core import Matching, build_rank_table, matching_size
+from maxhrt.core import Matching, build_rank_table
 from maxhrt.instance_io import (
     ParseError,
     parse_instance,
@@ -104,7 +104,7 @@ def test_parse_matching_unmatched_marker(fig1):
     text = "r1 -\nr2 h1\nr3 -\nr4 -\nr5 -\nr6 -\n"
     matching = parse_matching(text, fig1)
     assert matching.hospital_of(1) is None
-    assert matching_size(matching) == 1
+    assert len(matching) == 1
 
 
 def test_parse_matching_rejects_unacceptable(fig1):

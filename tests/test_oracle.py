@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxhrt.core import Matching, build_rank_table, is_stable, validate_matching
+from maxhrt.core import Matching, build_rank_table, certify, validate_matching
 from maxhrt.instance_io import parse_instance
 from maxhrt.oracle import (
     OracleLimit,
@@ -28,9 +28,7 @@ def naive_enumeration(instance):
     for combo in itertools.product(*choices):
         pairs = [(i, h) for i, h in enumerate(combo, start=1) if h is not None]
         matching = Matching.from_pairs(pairs)
-        if validate_matching(instance, matching):
-            continue
-        if is_stable(instance, ranks, matching):
+        if certify(instance, ranks, matching) is None:
             out.add(matching)
     return out
 
@@ -75,7 +73,7 @@ def test_node_budget_refusal(fig1):
 def test_every_result_valid_and_stable(fig1, fig1_ranks):
     for m in enumerate_stable_matchings(fig1):
         assert validate_matching(fig1, m) == []
-        assert is_stable(fig1, fig1_ranks, m)
+        assert certify(fig1, fig1_ranks, m) is None
 
 
 def test_nonempty_on_random_instances():
@@ -116,7 +114,4 @@ def test_random_assignments_outside_set_fail_a_predicate(fig1, fig1_ranks):
         ]
         matching = Matching.from_pairs(pairs)
         outside = matching not in stable_set
-        fails = bool(validate_matching(fig1, matching)) or not is_stable(
-            fig1, fig1_ranks, matching
-        )
-        assert outside == fails
+        assert outside == (certify(fig1, fig1_ranks, matching) is not None)

@@ -15,6 +15,8 @@ from maxhrt.preprocess import (
     residents_apply,
 )
 
+from strategies import carry, relabel
+
 ORACLE_LIMIT = OracleLimit(max_residents=10, max_pairs=40)
 
 
@@ -34,14 +36,12 @@ def random_hospital_ties_instance(rng, max_residents=7):
     )
 
 
-def reference_hospitals_offer(instance, shuffle_seed=None):
+def reference_hospitals_offer(instance):
     """Pass one as a plain quadratic loop, the reference for the fast pass.
 
     Every round recomputes every hospital's active tie by scanning all of
-    its ties, then offers from the first eligible hospital (or a seeded
-    choice among the eligible ones, in index order).
+    its ties, then offers from the first eligible hospital.
     """
-    rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
     res_lists = [list(p.entries()) for p in instance.residents]
     hosp_groups = [[list(g) for g in h.preferences.groups] for h in instance.hospitals]
     deleted = set()
@@ -71,7 +71,7 @@ def reference_hospitals_offer(instance, shuffle_seed=None):
         eligible = [j for j, tie in ties.items() if 0 < len(tie) <= vacancies[j - 1]]
         if not eligible:
             break
-        j = rng.choice(eligible) if rng else eligible[0]
+        j = eligible[0]
         for r in ties[j]:
             previous = assigned.get(r)
             if previous is not None:
@@ -93,25 +93,27 @@ def reference_hospitals_offer(instance, shuffle_seed=None):
     return reduced, deleted
 
 
+def _with_relabelings(instance, rng, count=3):
+    """The instance and `count` relabelings of it, each offering in a new order."""
+    return [instance] + [relabel(instance, rng)[0] for _ in range(count)]
+
+
 def test_hospitals_offer_matches_reference_on_random_instances():
     rng = random.Random(4242)
     for _ in range(60):
         instance = random_hospital_ties_instance(rng, max_residents=12)
-        for order_seed in (None, 1, 2, 3):
-            assert hospitals_offer(instance, order_seed) == reference_hospitals_offer(
-                instance, order_seed
-            )
+        for variant in _with_relabelings(instance, rng):
+            assert hospitals_offer(variant) == reference_hospitals_offer(variant)
 
 
 @pytest.mark.parametrize("n1", [60, 150, 300])
 @pytest.mark.parametrize("tie_density", [0.0, 0.5, 0.85])
 def test_hospitals_offer_matches_reference_on_sfas_like(n1, tie_density):
     instance = generate(sfas_like(n1, tie_density, seed=n1 + int(100 * tie_density)))
-    expected = reference_hospitals_offer(instance)
-    assert hospitals_offer(instance) == expected
-    assert expected[1]  # the pass does work on this preset
-    if n1 <= 150:
-        assert hospitals_offer(instance, 5) == reference_hospitals_offer(instance, 5)
+    for variant in _with_relabelings(instance, random.Random(n1)):
+        expected = reference_hospitals_offer(variant)
+        assert hospitals_offer(variant) == expected
+        assert expected[1]  # the pass does work on this preset
 
 
 def test_hospitals_offer_fig1_deletions(fig1):
@@ -217,13 +219,18 @@ def test_preservation_random_suite():
 
 
 def test_preservation_independent_of_processing_order():
+    # Relabeling changes the order both passes take hospitals and residents
+    # in; the reduced instance must keep the relabeled stable set all the same.
     rng = random.Random(99)
     for _ in range(15):
         instance = random_hospital_ties_instance(rng, max_residents=6)
         baseline = enumerate_stable_matchings(instance, ORACLE_LIMIT)
-        for order_seed in (None, 1, 2, 3):
-            reduced, _ = reduce_instance(instance, shuffle_seed=order_seed)
-            assert enumerate_stable_matchings(reduced, ORACLE_LIMIT) == baseline
+        for _ in range(4):
+            relabeled, res_map, hosp_map = relabel(instance, rng)
+            reduced, _ = reduce_instance(relabeled)
+            assert enumerate_stable_matchings(reduced, ORACLE_LIMIT) == {
+                carry(m, res_map, hosp_map) for m in baseline
+            }
 
 
 def test_deleted_pairs_out_of_play():

@@ -16,7 +16,7 @@ from maxhrt.core import (
     Matching,
     PreferenceList,
     build_rank_table,
-    is_stable,
+    certify,
     validate_matching,
 )
 from maxhrt.generator import GeneratorConfig, generate, sfas_like
@@ -35,7 +35,7 @@ from maxhrt.solver import (
 )
 
 from conftest import M1_PAIRS
-from strategies import instances_strategy
+from strategies import instances_strategy, relabel
 
 
 def _model(instance):
@@ -103,7 +103,7 @@ def test_fig1_optimal_six(fig1, fig1_ranks):
     assert outcome.status is SolveStatus.OPTIMAL
     assert outcome.objective == 6
     assert outcome.proof_bound == 6
-    assert is_stable(fig1, fig1_ranks, outcome.matching)
+    assert certify(fig1, fig1_ranks, outcome.matching) is None
     assert validate_matching(fig1, outcome.matching) == []
 
 
@@ -117,33 +117,43 @@ def test_single_pair_forced(single_pair):
 def test_matches_oracle_on_small_instances():
     limit = OracleLimit(max_pairs=40)
     for instance in small_instances(60, seed=5):
-        outcome = solve(_model(instance), SolveOptions(seed=3))
+        outcome = solve(_model(instance))
         assert outcome.status is SolveStatus.OPTIMAL
         assert outcome.objective == max_stable_size(instance, limit)
         ranks = build_rank_table(instance)
-        assert is_stable(instance, ranks, outcome.matching)
+        assert certify(instance, ranks, outcome.matching) is None
 
 
 def test_objective_at_least_warm_start():
     for instance in small_instances(25, seed=8):
-        warm = warm_start(instance, 17)
-        outcome = solve(_model(instance), SolveOptions(warm_start=warm, seed=17))
+        warm = warm_start(instance)
+        outcome = solve(_model(instance), SolveOptions(warm_start=warm))
         assert outcome.objective >= len(warm)
         assert outcome.objective <= instance.n1
 
 
-def test_deterministic_given_seed(fig1):
-    first = solve(_model(fig1), SolveOptions(seed=11))
-    second = solve(_model(fig1), SolveOptions(seed=11))
-    assert first.nodes == second.nodes
+def test_deterministic():
+    model = _pipeline_model(generate(sfas_like(150, 0.5, 7)))
+    first = solve(model, SolveOptions(time_limit=60.0))
+    second = solve(model, SolveOptions(time_limit=60.0))
+    assert first.nodes == second.nodes > 1
     assert first.objective == second.objective
     assert first.matching == second.matching
 
 
-def test_seed_independent_objective():
+def test_relabeled_objective_matches_oracle():
+    # Relabeling reorders the reductions, the warm start's tie-breaking and
+    # the search's branching; the optimum must not move.
+    limit = OracleLimit(max_pairs=40)
+    rng = random.Random(21)
     for instance in small_instances(15, seed=21):
-        results = {solve(_model(instance), SolveOptions(seed=s)).objective for s in (0, 1, 2)}
-        assert len(results) == 1
+        optimum = max_stable_size(instance, limit)
+        for _ in range(3):
+            relabeled, res_map, hosp_map = relabel(instance, rng)
+            outcome = solve(_pipeline_model(relabeled))
+            assert outcome.status is SolveStatus.OPTIMAL
+            assert outcome.objective == optimum
+            assert certify(relabeled, build_rank_table(relabeled), outcome.matching) is None
 
 
 def test_timeout_returns_warm_start_or_better():
@@ -151,13 +161,13 @@ def test_timeout_returns_warm_start_or_better():
         GeneratorConfig(200, 14, 200, 5, 0.0, 0.85, seed=404)
     )
     model = _model(instance)
-    warm = warm_start(instance, 0)
-    outcome = solve(model, SolveOptions(time_limit=1e-6, warm_start=warm, seed=0))
+    warm = warm_start(instance)
+    outcome = solve(model, SolveOptions(time_limit=1e-6, warm_start=warm))
     assert outcome.status is SolveStatus.FEASIBLE_TIMEOUT
     assert outcome.objective >= len(warm)
     assert outcome.proof_bound >= outcome.objective
     ranks = build_rank_table(instance)
-    assert is_stable(instance, ranks, outcome.matching)
+    assert certify(instance, ranks, outcome.matching) is None
 
 
 def test_rejects_unstable_warm_start(fig1):
@@ -432,7 +442,7 @@ def test_never_claims_beyond_highs(config):
     assert outcome.objective <= optimum <= outcome.proof_bound
     if outcome.status is SolveStatus.OPTIMAL:
         assert outcome.objective == optimum
-    assert is_stable(instance, build_rank_table(instance), outcome.matching)
+    assert certify(instance, build_rank_table(instance), outcome.matching) is None
 
 
 # Instances whose optimum equals the root relaxation bound, where a plain
@@ -448,12 +458,12 @@ def test_never_claims_beyond_highs(config):
 def test_primal_phase_proves_at_root(config, optimum):
     instance = generate(config)
     model = _pipeline_model(instance)
-    assert len(warm_start(model.instance, 0)) < optimum
+    assert len(warm_start(model.instance)) < optimum
     outcome = solve(model, SolveOptions(time_limit=60.0))
     assert outcome.status is SolveStatus.OPTIMAL
     assert outcome.nodes == 1
     assert outcome.objective == outcome.proof_bound == optimum
-    assert is_stable(instance, build_rank_table(instance), outcome.matching)
+    assert certify(instance, build_rank_table(instance), outcome.matching) is None
 
 
 def test_tight_root_fixings_prove_in_few_nodes():
@@ -464,7 +474,7 @@ def test_tight_root_fixings_prove_in_few_nodes():
     assert outcome.status is SolveStatus.OPTIMAL
     assert outcome.objective == outcome.proof_bound == 149
     assert outcome.nodes <= 50
-    assert is_stable(instance, build_rank_table(instance), outcome.matching)
+    assert certify(instance, build_rank_table(instance), outcome.matching) is None
 
 
 # Small instances where the primal phase ends one below the root bound and
@@ -548,4 +558,21 @@ def test_primal_phase_tries(config, tries, monkeypatch):
 
     monkeypatch.setattr("maxhrt.solver.promotion_start", counted)
     search._primal_phase(search.n1 + 1, time.monotonic() + 60.0)  # target out of reach
-    assert len(calls) == tries
+    assert calls == list(range(tries))
+
+
+def test_long_augmenting_path_chain():
+    # r_k lists h_k then h_(k+1) and the last resident only h_1, every post
+    # single: placing the last resident shifts every other one along the
+    # chain, an augmenting path through all 1 500 hospitals.
+    n = 1500
+    residents = [PreferenceList.strict((k, k + 1)) for k in range(1, n)]
+    residents.append(PreferenceList.strict((1,)))
+    hospitals = [Hospital(1, PreferenceList.strict((1, n)))]
+    hospitals += [Hospital(1, PreferenceList.strict((k, k - 1))) for k in range(2, n)]
+    hospitals.append(Hospital(1, PreferenceList.strict((n - 1,))))
+    instance = Instance(residents=tuple(residents), hospitals=tuple(hospitals))
+    outcome = solve(_model(instance), SolveOptions(time_limit=60.0))
+    assert outcome.status is SolveStatus.OPTIMAL
+    assert outcome.objective == outcome.proof_bound == n - 1
+    assert outcome.nodes == 1

@@ -4,13 +4,18 @@ Residents are numbered 1..n1 and hospitals 1..n2. A preference list is an
 ordered sequence of ties (indifference groups); a strict entry is a tie of
 size one. A pair (resident, hospital) is acceptable when each side lists the
 other; ranks are finite exactly on acceptable pairs.
+
+A `PreferenceList` derives its flat entries and its rank map once, when it
+is built, and every later read returns them. `RankTable` shares those rank
+maps rather than copying them, so both are read-only: nothing may mutate a
+dict that `PreferenceList.ranks` or a `RankTable` hands out.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 INFINITY = math.inf
 
@@ -21,19 +26,27 @@ class InstanceError(ValueError):
 
 @dataclass(frozen=True)
 class PreferenceList:
-    """Ordered groups of agent ids; ids within one group are tied."""
+    """Ordered groups of agent ids; ids within one group are tied.
+
+    The entries and the rank map are derived once, in `__post_init__`;
+    they are not fields, so equality and hashing still compare `groups`.
+    """
 
     groups: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
+        ranks: dict[int, int] = {}
         for group in self.groups:
             if not group:
                 raise InstanceError("empty tie group")
+            # no id repeats so far, so this counts the ids in earlier groups
+            rank = len(ranks) + 1
             for agent in group:
-                if agent in seen:
+                if agent in ranks:
                     raise InstanceError(f"agent {agent} listed twice")
-                seen.add(agent)
+                ranks[agent] = rank
+        object.__setattr__(self, "_ranks", ranks)
+        object.__setattr__(self, "_entries", tuple(ranks))
 
     @staticmethod
     def strict(entries: Iterable[int]) -> "PreferenceList":
@@ -41,24 +54,18 @@ class PreferenceList:
 
     def entries(self) -> tuple[int, ...]:
         """All listed ids, best group first, in stored order."""
-        return tuple(a for group in self.groups for a in group)
+        return self._entries
 
     def ranks(self) -> dict[int, int]:
-        """Map id -> rank, where all members of one tie share a rank.
+        """Map id -> rank, where all members of one tie share a rank; read-only.
 
         The rank of an entry is 1 + the number of ids strictly preferred
         to it, i.e. the count of ids in earlier groups.
         """
-        out: dict[int, int] = {}
-        rank = 1
-        for group in self.groups:
-            for agent in group:
-                out[agent] = rank
-            rank += len(group)
-        return out
+        return self._ranks
 
     def is_strict(self) -> bool:
-        return all(len(group) == 1 for group in self.groups)
+        return len(self.groups) == len(self._entries)
 
     def without(self, removed: set[int]) -> "PreferenceList":
         """Copy with the given ids dropped; empty groups disappear."""
@@ -68,7 +75,26 @@ class PreferenceList:
         return PreferenceList(tuple(g for g in kept if g))
 
     def __len__(self) -> int:
-        return sum(len(g) for g in self.groups)
+        return len(self._entries)
+
+
+def one_sided_pairs(
+    residents: Sequence[PreferenceList], hospitals: Sequence[PreferenceList]
+) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
+    """The (resident, hospital) pairs that only residents list, and only hospitals.
+
+    Every listed id must be in range. Lists hold no duplicates, so the two
+    sides agree iff every hospital entry (r, j) has j on r's list and both
+    sides list as many pairs; the pair sets are built only when they do not.
+    """
+    res_ranks = [plist.ranks() for plist in residents]
+    if sum(map(len, residents)) == sum(map(len, hospitals)) and all(
+        j in res_ranks[r - 1] for j, plist in enumerate(hospitals, start=1) for r in plist.entries()
+    ):
+        return set(), set()
+    res_pairs = {(i, h) for i, plist in enumerate(residents, start=1) for h in plist.entries()}
+    hosp_pairs = {(r, j) for j, plist in enumerate(hospitals, start=1) for r in plist.entries()}
+    return res_pairs - hosp_pairs, hosp_pairs - res_pairs
 
 
 @dataclass(frozen=True)
@@ -93,23 +119,24 @@ class Instance:
         n1, n2 = len(self.residents), len(self.hospitals)
         if n1 < 1 or n2 < 1:
             raise InstanceError("need at least one resident and one hospital")
-        res_pairs: set[tuple[int, int]] = set()
         for i, plist in enumerate(self.residents, start=1):
-            for h in plist.entries():
-                if not 1 <= h <= n2:
-                    raise InstanceError(f"resident r{i} lists unknown hospital h{h}")
-                res_pairs.add((i, h))
-        hosp_pairs: set[tuple[int, int]] = set()
+            entries = plist.entries()
+            if entries and (min(entries) < 1 or max(entries) > n2):
+                h = next(h for h in entries if not 1 <= h <= n2)
+                raise InstanceError(f"resident r{i} lists unknown hospital h{h}")
         for j, hosp in enumerate(self.hospitals, start=1):
             if hosp.capacity < 0:
                 raise InstanceError(f"hospital h{j} has negative capacity")
-            for r in hosp.preferences.entries():
-                if not 1 <= r <= n1:
-                    raise InstanceError(f"hospital h{j} lists unknown resident r{r}")
-                hosp_pairs.add((r, j))
-        if res_pairs != hosp_pairs:
-            r, j = min(res_pairs.symmetric_difference(hosp_pairs))
-            side = "r{0} lists h{1} only" if (r, j) in res_pairs else "h{1} lists r{0} only"
+            entries = hosp.preferences.entries()
+            if entries and (min(entries) < 1 or max(entries) > n1):
+                r = next(r for r in entries if not 1 <= r <= n1)
+                raise InstanceError(f"hospital h{j} lists unknown resident r{r}")
+        res_only, hosp_only = one_sided_pairs(
+            self.residents, [h.preferences for h in self.hospitals]
+        )
+        if res_only or hosp_only:
+            r, j = min(res_only | hosp_only)
+            side = "r{0} lists h{1} only" if (r, j) in res_only else "h{1} lists r{0} only"
             raise InstanceError(f"pair (r{r}, h{j}) is not mutual: " + side.format(r, j))
 
     @property
@@ -132,12 +159,16 @@ class Instance:
         ]
 
     def is_acceptable(self, resident: int, hospital: int) -> bool:
-        return hospital in self.residents[resident - 1].entries()
+        return hospital in self.residents[resident - 1].ranks()
 
 
 @dataclass(frozen=True)
 class RankTable:
-    """Ranks for both directions of every acceptable pair; INFINITY otherwise."""
+    """Ranks for both directions of every acceptable pair; INFINITY otherwise.
+
+    The dicts are the instance's own `PreferenceList.ranks` maps, shared
+    and read-only.
+    """
 
     resident_ranks: tuple[dict[int, int], ...]
     hospital_ranks: tuple[dict[int, int], ...]
@@ -242,25 +273,32 @@ def validate_matching(
 def blocking_pairs(
     instance: Instance, ranks: RankTable, matching: Matching
 ) -> list[tuple[int, int]]:
-    """All acceptable pairs that block the matching."""
+    """All acceptable pairs that block the matching.
+
+    Resident i blocks with a hospital h it ranks above its assignment when
+    h has a free post or ranks i above its worst assignee, so each
+    hospital's bar is taken once: INFINITY while it has a free post, else
+    its worst assignee's rank (0 for an empty hospital with no post).
+    """
+    res_ranks, hosp_ranks = ranks.resident_ranks, ranks.hospital_ranks
+    assignment = matching.assignment
+    holders: dict[int, list[int]] = {j: [] for j in range(1, instance.n2 + 1)}
+    for r, h in assignment.items():
+        holders[h].append(r)
+    bar: list[float] = []
+    for held, hosp, rank in zip(holders.values(), instance.hospitals, hosp_ranks):
+        if len(held) < hosp.capacity:
+            bar.append(INFINITY)
+        else:
+            bar.append(max((rank.get(r, INFINITY) for r in held), default=0))
     out = []
-    assignees: dict[int, list[int]] = {j: [] for j in range(1, instance.n2 + 1)}
-    for r, h in matching.assignment.items():
-        assignees[h].append(r)
-    for i, plist in enumerate(instance.residents, start=1):
-        assigned = matching.hospital_of(i)
-        assigned_rank = (
-            ranks.resident_rank(i, assigned) if assigned is not None else INFINITY
-        )
-        for h in plist.entries():
-            if ranks.resident_rank(i, h) >= assigned_rank:
-                continue
-            holders = assignees[h]
-            if len(holders) < instance.capacity(h):
-                out.append((i, h))
-                continue
-            my_rank = ranks.hospital_rank(h, i)
-            if any(my_rank < ranks.hospital_rank(h, r) for r in holders):
+    for i, rank in enumerate(res_ranks, start=1):
+        # None is never a key, so an unmatched resident's rank is INFINITY
+        assigned_rank = rank.get(assignment.get(i), INFINITY)
+        for h, r_rank in rank.items():
+            if r_rank >= assigned_rank:
+                break
+            if hosp_ranks[h - 1].get(i, INFINITY) < bar[h - 1]:
                 out.append((i, h))
     return out
 

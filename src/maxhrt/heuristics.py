@@ -23,18 +23,32 @@ from typing import Sequence
 from .core import Hospital, Instance, Matching, PreferenceList
 
 
-def _break_list(plist: PreferenceList, rng: random.Random) -> PreferenceList:
-    entries = []
+def _broken_entries(plist: PreferenceList, rng: random.Random) -> tuple[int, ...]:
+    """The list's entries with each tie's members shuffled by `rng`."""
+    if plist.is_strict():
+        return plist.entries()
+    entries: list[int] = []
     for group in plist.groups:
         members = list(group)
         if len(members) > 1:
             rng.shuffle(members)
         entries.extend(members)
-    return PreferenceList.strict(entries)
+    return tuple(entries)
+
+
+def _break_list(plist: PreferenceList, rng: random.Random) -> PreferenceList:
+    return plist if plist.is_strict() else PreferenceList.strict(_broken_entries(plist, rng))
 
 
 def break_ties(instance: Instance) -> Instance:
-    """Replace every tie by a fixed shuffle of its members; order across ties kept."""
+    """Replace every tie by a fixed shuffle of its members; order across ties kept.
+
+    An instance without ties is returned as it is.
+    """
+    if all(p.is_strict() for p in instance.residents) and all(
+        h.preferences.is_strict() for h in instance.hospitals
+    ):
+        return instance
     rng = random.Random(0)
     residents = tuple(_break_list(p, rng) for p in instance.residents)
     hospitals = tuple(
@@ -123,5 +137,5 @@ def promotion_start(instance: Instance, seed: int = 0) -> Matching:
     tied with. On strict instances this is Gale–Shapley.
     """
     rng = random.Random(seed)
-    res_lists = [_break_list(p, rng).entries() for p in instance.residents]
+    res_lists = [_broken_entries(p, rng) for p in instance.residents]
     return _deferred_acceptance(instance, res_lists, promote=True)

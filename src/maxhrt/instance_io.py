@@ -12,8 +12,8 @@ Instance format::
 
 Groups in round brackets are ties; a bare id is a strict entry. Tokens are
 whitespace-separated, but brackets glued to ids (as in ``(r4 r5)``) are
-accepted. Ids match ``r[0-9]+`` / ``h[0-9]+`` and must be the dense ranges
-1..n1 and 1..n2, with resident and hospital lines in index order.
+accepted. Ids are ``r`` or ``h`` followed by ASCII digits and must be the
+dense ranges 1..n1 and 1..n2, with resident and hospital lines in index order.
 
 Matching format: one line per resident in index order, ``r<i> h<j>`` for a
 matched resident or ``r<i> -`` for an unmatched one.
@@ -25,10 +25,9 @@ mutual by definition.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
-from .core import Hospital, Instance, Matching, PreferenceList, validate_matching
+from .core import Hospital, Instance, Matching, PreferenceList, one_sided_pairs, validate_matching
 
 
 @dataclass(frozen=True)
@@ -49,9 +48,6 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
-_ID_RE = re.compile(r"([rh])([0-9]+)$")
-
-
 def _content_lines(text: str) -> list[tuple[int, str]]:
     """Non-empty, non-comment lines with their 1-based line numbers."""
     out = []
@@ -62,11 +58,18 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
+def _is_int(text: str) -> bool:
+    """Whether `text` is an optional '-' followed by ASCII digits."""
+    digits = text[1:] if text.startswith("-") else text
+    return digits.isascii() and digits.isdigit()
+
+
 def _parse_id(token: str, kind: str, limit: int, line: int) -> int:
-    m = _ID_RE.match(token)
-    if not m or m.group(1) != kind:
+    """The number of an id token: `kind` followed by ASCII digits."""
+    digits = token[1:]
+    if token[:1] != kind or not (digits.isascii() and digits.isdigit()):
         raise ParseError(line, f"expected {kind}<number>, got {token!r}")
-    value = int(m.group(2))
+    value = int(digits)
     if not 1 <= value <= limit:
         raise ParseError(line, f"unknown id {token!r} (valid: {kind}1..{kind}{limit})")
     return value
@@ -117,7 +120,7 @@ def parse_instance(text: str) -> tuple[Instance, list[ParseDiagnostic]]:
         raise ParseError(1, "empty input")
     header_line, header = lines[0]
     parts = header.split()
-    if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
+    if len(parts) != 2 or not all(_is_int(p) for p in parts):
         raise ParseError(header_line, f"malformed header {header!r}, expected '<n1> <n2>'")
     n1, n2 = int(parts[0]), int(parts[1])
     if n1 < 1 or n2 < 1:
@@ -157,7 +160,7 @@ def parse_instance(text: str) -> tuple[Instance, list[ParseDiagnostic]]:
         # Accept the Figure-style "(2)" capacity notation as well.
         if cap_token.startswith("(") and cap_token.endswith(")"):
             cap_token = cap_token[1:-1].strip()
-        if not cap_token.lstrip("-").isdigit():
+        if not _is_int(cap_token):
             raise ParseError(num, f"capacity must be an integer, got {cap_token!r}")
         capacity = int(cap_token)
         if capacity < 0:
@@ -167,17 +170,16 @@ def parse_instance(text: str) -> tuple[Instance, list[ParseDiagnostic]]:
         hosp_lines.append(num)
 
     # Prune one-sided entries so that acceptability is mutual.
-    res_pairs = {(i, h) for i, pl in enumerate(res_lists, 1) for h in pl.entries()}
-    hosp_pairs = {(r, j) for j, pl in enumerate(hosp_lists, 1) for r in pl.entries()}
+    res_only, hosp_only = one_sided_pairs(res_lists, hosp_lists)
     warnings: list[ParseDiagnostic] = []
-    for i, h in sorted(res_pairs - hosp_pairs):
+    for i, h in sorted(res_only):
         warnings.append(
             ParseDiagnostic(
                 res_lines[i - 1], f"pruned one-sided pair (r{i}, h{h}): h{h} does not list r{i}"
             )
         )
         res_lists[i - 1] = res_lists[i - 1].without({h})
-    for r, j in sorted(hosp_pairs - res_pairs):
+    for r, j in sorted(hosp_only):
         warnings.append(
             ParseDiagnostic(
                 hosp_lines[j - 1], f"pruned one-sided pair (r{r}, h{j}): r{r} does not list h{j}"

@@ -14,11 +14,15 @@ assignees. Each round offers from the lowest-index eligible hospital. The
 pass keeps every eligible hospital's active tie and, after an offer,
 re-derives it only for the hospitals that round changed: the offering one
 and those that lost a pair, which include the previous hospitals of the
-residents it pulled in. Ties keep their original positions, so a
-hospital's active tie is found from the largest tie position among its
-assignees. A round costs O(n2) to select the offering hospital plus, for
-each hospital it changed, that hospital's assignee count and the emptied
-ties it skips.
+residents it pulled in. Ties keep their original positions, and a tie a
+hospital has offered keeps only the residents it still holds, since a
+resident that leaves for a better hospital loses its pair with this one.
+So every tie after the least preferred assignee's, up to the last tie
+offered, is empty, and the active tie is the first nonempty tie after the
+last one offered. Each hospital keeps a cursor there that only moves
+forward, over ties that stay empty. A round costs O(n2) to select the
+offering hospital plus O(1) for each hospital it changed; the cursors
+skip each emptied tie once in the whole pass.
 
 Pass two (residents apply): free residents apply down their lists; once
 a hospital has at least as many provisional assignees as capacity, every
@@ -86,30 +90,25 @@ class _WorkingInstance:
         )
 
 
-def _active_tie(work: _WorkingInstance, hospital: int, assignees: set[int]) -> list[int]:
-    """The first nonempty tie after the least preferred assignee's (from the top if none)."""
-    groups = work.hosp_groups[hospital - 1]
-    tie_of = work.tie_of[hospital - 1]
-    for idx in range(max((tie_of[r] for r in assignees), default=-1) + 1, len(groups)):
-        if groups[idx]:
-            return groups[idx]
-    return []
-
-
 def hospitals_offer(instance: Instance) -> tuple[Instance, set[Pair]]:
     """First reduction pass; returns the reduced instance and deleted pairs."""
     _require_strict_residents(instance)
     work = _WorkingInstance(instance)
 
     assigned: dict[int, int] = {}
-    assignees: list[set[int]] = [set() for _ in range(instance.n2)]
     vacancies = list(work.caps)
+    # hospital index -> position of its first tie after the last one it offered
+    cursor = [0] * instance.n2
     offers: dict[int, list[int]] = {}  # eligible hospital -> its active tie
 
     def refresh(j: int) -> None:
-        tie = _active_tie(work, j, assignees[j - 1])
-        if 0 < len(tie) <= vacancies[j - 1]:
-            offers[j] = tie
+        groups = work.hosp_groups[j - 1]
+        pos = cursor[j - 1]
+        while pos < len(groups) and not groups[pos]:
+            pos += 1
+        cursor[j - 1] = pos
+        if pos < len(groups) and len(groups[pos]) <= vacancies[j - 1]:
+            offers[j] = groups[pos]
         else:
             offers.pop(j, None)
 
@@ -125,14 +124,13 @@ def hospitals_offer(instance: Instance) -> tuple[Instance, set[Pair]]:
         for r in offers[j]:
             previous = assigned.get(r)
             if previous is not None:
-                assignees[previous - 1].discard(r)
                 vacancies[previous - 1] += 1
             assigned[r] = j
-            assignees[j - 1].add(r)
             vacancies[j - 1] -= 1
             for successor in work.successors_on_resident_list(r, j):
                 work.delete_pair(r, successor)
                 changed.add(successor)
+        cursor[j - 1] += 1
         for h in changed:
             refresh(h)
     return work.to_instance(), work.deleted
@@ -143,8 +141,7 @@ def residents_apply(instance: Instance) -> tuple[Instance, set[Pair]]:
     _require_strict_residents(instance)
     work = _WorkingInstance(instance)
 
-    assigned: dict[int, int] = {}
-    count = [0] * instance.n2
+    holders: list[set[int]] = [set() for _ in range(instance.n2)]
     free = deque(range(1, instance.n1 + 1))
 
     while free:
@@ -153,28 +150,22 @@ def residents_apply(instance: Instance) -> tuple[Instance, set[Pair]]:
         if not prefs:
             continue
         j = prefs[0]
-        assigned[r] = j
-        count[j - 1] += 1
+        held = holders[j - 1]
+        held.add(r)
         cap = work.caps[j - 1]
-        if count[j - 1] < cap:
+        if len(held) < cap:
             continue
         groups = work.hosp_groups[j - 1]
         if cap == 0:
             # No assignee can ever be kept: every listed resident is cut.
             threshold = -1
         else:
-            group_of = {}
-            for idx, group in enumerate(groups):
-                for member in group:
-                    if assigned.get(member) == j:
-                        group_of[member] = idx
-            ranks = sorted(group_of.values())
-            threshold = ranks[cap - 1]
+            tie_of = work.tie_of[j - 1]
+            threshold = sorted(tie_of[m] for m in held)[cap - 1]
         doomed = [m for group in groups[threshold + 1 :] for m in group]
         for victim in doomed:
-            if assigned.get(victim) == j:
-                del assigned[victim]
-                count[j - 1] -= 1
+            if victim in held:
+                held.remove(victim)
                 free.append(victim)
             work.delete_pair(victim, j)
     return work.to_instance(), work.deleted

@@ -163,3 +163,98 @@ def test_validate_clean_implies_invariants(data):
             assert load <= instance.capacity(h)
         for r, h in matching.pairs():
             assert instance.is_acceptable(r, h)
+
+
+def _two_by_two(res1, res2, hosp1, hosp2, cap1=1, cap2=1):
+    """A two-resident, two-hospital instance from strict lists."""
+    return Instance(
+        residents=(PreferenceList.strict(res1), PreferenceList.strict(res2)),
+        hospitals=(
+            Hospital(cap1, PreferenceList.strict(hosp1)),
+            Hospital(cap2, PreferenceList.strict(hosp2)),
+        ),
+    )
+
+
+def test_instance_names_smallest_resident_only_pair():
+    # (r1, h2) and (r2, h1) are listed by the residents only; (r1, h2) is smaller
+    with pytest.raises(InstanceError) as info:
+        _two_by_two([1, 2], [2, 1], [1], [2])
+    assert str(info.value) == "pair (r1, h2) is not mutual: r1 lists h2 only"
+
+
+def test_instance_names_smallest_hospital_only_pair():
+    # (r1, h1) is listed by h1 only; (r2, h2) is listed by r2 only
+    with pytest.raises(InstanceError) as info:
+        _two_by_two([2], [1, 2], [2, 1], [1])
+    assert str(info.value) == "pair (r1, h1) is not mutual: h1 lists r1 only"
+
+
+def test_instance_not_mutual_with_equal_pair_counts():
+    # both sides list two pairs, but r2 lists h1 while h2 lists r2
+    with pytest.raises(InstanceError) as info:
+        _two_by_two([1], [1], [1], [2])
+    assert str(info.value) == "pair (r2, h1) is not mutual: r2 lists h1 only"
+
+
+def test_instance_rejects_unknown_hospital():
+    with pytest.raises(InstanceError) as info:
+        _two_by_two([1], [1, 3], [1, 2], [])
+    assert str(info.value) == "resident r2 lists unknown hospital h3"
+
+
+def test_instance_rejects_unknown_resident():
+    with pytest.raises(InstanceError) as info:
+        _two_by_two([1], [2], [1], [3, 2])
+    assert str(info.value) == "hospital h2 lists unknown resident r3"
+
+
+def test_instance_rejects_negative_capacity():
+    with pytest.raises(InstanceError) as info:
+        _two_by_two([1], [2], [1], [2], cap2=-1)
+    assert str(info.value) == "hospital h2 has negative capacity"
+
+
+def test_instance_checks_ranges_before_mutuality():
+    # r1's unknown hospital is reported, though h1's pair with r2 is one-sided too
+    with pytest.raises(InstanceError) as info:
+        _two_by_two([1, 5], [], [1, 2], [1])
+    assert str(info.value) == "resident r1 lists unknown hospital h5"
+    with pytest.raises(InstanceError) as info:
+        _two_by_two([1], [], [1, 2], [1], cap2=-2)
+    assert str(info.value) == "hospital h2 has negative capacity"
+
+
+def _ranks_from_groups(groups):
+    """Rank map straight from the groups: 1 + the ids in earlier groups."""
+    out, rank = {}, 1
+    for group in groups:
+        for agent in group:
+            out[agent] = rank
+        rank += len(group)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_derived_list_data_matches_groups(data):
+    instance = data.draw(instances_strategy())
+    lists = list(instance.residents) + [h.preferences for h in instance.hospitals]
+    for plist in lists:
+        flat = tuple(a for group in plist.groups for a in group)
+        assert plist.entries() == flat
+        assert len(plist) == len(flat)
+        assert plist.ranks() == _ranks_from_groups(plist.groups)
+        assert tuple(plist.ranks()) == flat  # rank map in list order
+        assert plist.is_strict() == all(len(group) == 1 for group in plist.groups)
+    pairs = set(instance.acceptable_pairs())
+    for i in range(1, instance.n1 + 1):
+        for j in range(1, instance.n2 + 1):
+            assert instance.is_acceptable(i, j) == ((i, j) in pairs)
+    table = build_rank_table(instance)
+    assert table.resident_ranks == tuple(
+        _ranks_from_groups(p.groups) for p in instance.residents
+    )
+    assert table.hospital_ranks == tuple(
+        _ranks_from_groups(h.preferences.groups) for h in instance.hospitals
+    )

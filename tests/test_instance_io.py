@@ -1,5 +1,7 @@
 """Parsing and serialization round-trips for both text formats."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from maxhrt.core import Matching, build_rank_table
 from maxhrt.instance_io import (
     ParseError,
+    _parse_id,
     parse_instance,
     parse_matching,
     serialize_instance,
@@ -144,3 +147,60 @@ def test_matching_round_trip_property(data):
     matching = data.draw(matchings_for(instance))
     text = serialize_matching(matching, instance)
     assert parse_matching(text, instance) == matching
+
+
+def test_non_ascii_digit_id_rejected():
+    with pytest.raises(ParseError) as info:
+        parse_instance("1 1\nr1: h١\nh1: 1: r1\n")
+    assert str(info.value) == "line 2: expected h<number>, got 'h١'"
+
+
+def test_out_of_range_id_names_line_and_range():
+    with pytest.raises(ParseError) as info:
+        parse_instance("2 1\nr1: h1\nr2: h1\nh1: 1: r1 r3\n")
+    assert str(info.value) == "line 4: unknown id 'r3' (valid: r1..r2)"
+
+
+def test_wrong_kind_id_rejected():
+    with pytest.raises(ParseError) as info:
+        parse_instance("1 1\nr1: r1\nh1: 1: r1\n")
+    assert str(info.value) == "line 2: expected h<number>, got 'r1'"
+
+
+def test_leading_zero_id_accepted():
+    instance, warnings = parse_instance("1 1\nr01: h01\nh1: 1: r001\n")
+    assert not warnings
+    assert instance.acceptable_pairs() == [(1, 1)]
+
+
+@pytest.mark.parametrize("header", ["1² 1", "--1 1", "1 --1"])
+def test_header_with_non_integer_count_names_line(header):
+    with pytest.raises(ParseError) as info:
+        parse_instance(f"# counts\n{header}\nr1: h1\nh1: 1: r1\n")
+    assert str(info.value) == f"line 2: malformed header {header!r}, expected '<n1> <n2>'"
+
+
+@pytest.mark.parametrize("capacity", ["²", "--1", "(--1)"])
+def test_capacity_that_is_not_an_integer_names_line(capacity):
+    with pytest.raises(ParseError) as info:
+        parse_instance(f"1 1\nr1: h1\nh1: {capacity}: r1\n")
+    token = capacity.strip("()")
+    assert str(info.value) == f"line 3: capacity must be an integer, got {token!r}"
+
+
+def test_negative_header_count_and_capacity_keep_their_messages():
+    with pytest.raises(ParseError, match="line 1: n1 and n2 must be positive, got -1 1"):
+        parse_instance("-1 1\nh1: 1:\n")
+    with pytest.raises(ParseError, match="line 3: capacity must be non-negative, got -2"):
+        parse_instance("1 1\nr1: h1\nh1: -2: r1\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(token=st.text(alphabet="rh0159١²-+ _x", min_size=0, max_size=5))
+def test_id_tokens_accepted_exactly_as_kind_then_ascii_digits(token):
+    match = re.fullmatch(r"h([0-9]+)", token)
+    try:
+        value = _parse_id(token, "h", 10**6, 1)
+    except ParseError:
+        value = None
+    assert value == (int(match.group(1)) if match and 1 <= int(match.group(1)) else None)

@@ -116,6 +116,19 @@ def test_hospitals_offer_matches_reference_on_sfas_like(n1, tie_density):
         assert expected[1]  # the pass does work on this preset
 
 
+def test_hospitals_offer_matches_reference_when_worst_assignee_is_pulled_away():
+    # h1 takes r1, then r2 (its worst assignee); h2, which r2 prefers, then
+    # pulls r2 away and (r2, h1) is cut. h1 falls back to r1 as its worst
+    # assignee, skips r2's emptied tie and offers to r3, cutting (r3, h3).
+    instance, _ = parse_instance(
+        "3 3\nr1: h1\nr2: h2 h1\nr3: h1 h3\nh1: 2: r1 r2 r3\nh2: 1: r2\nh3: 1: r3\n"
+    )
+    for variant in _with_relabelings(instance, random.Random(5)):
+        assert hospitals_offer(variant) == reference_hospitals_offer(variant)
+    _, deleted = hospitals_offer(instance)
+    assert deleted == {(2, 1), (3, 3)}
+
+
 def test_hospitals_offer_fig1_deletions(fig1):
     reduced, deleted = hospitals_offer(fig1)
     assert deleted == {(1, 2)}

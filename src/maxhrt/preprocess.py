@@ -59,6 +59,7 @@ class _WorkingInstance:
     """
 
     def __init__(self, instance: Instance):
+        self.instance = instance
         self.caps = [h.capacity for h in instance.hospitals]
         self.res_lists = [list(p.entries()) for p in instance.residents]
         self.hosp_groups = [
@@ -81,13 +82,17 @@ class _WorkingInstance:
         return prefs[prefs.index(hospital) + 1 :]
 
     def to_instance(self) -> Instance:
-        return Instance(
-            residents=tuple(PreferenceList.strict(lst) for lst in self.res_lists),
-            hospitals=tuple(
-                Hospital(c, PreferenceList(tuple(tuple(g) for g in groups if g)))
-                for c, groups in zip(self.caps, self.hosp_groups)
-            ),
-        )
+        """The reduced instance; an agent that lost no pair keeps its original list."""
+        residents = list(self.instance.residents)
+        for i in {r for r, _ in self.deleted}:
+            residents[i - 1] = PreferenceList.strict(self.res_lists[i - 1])
+        hospitals = list(self.instance.hospitals)
+        for j in {h for _, h in self.deleted}:
+            groups = self.hosp_groups[j - 1]
+            hospitals[j - 1] = Hospital(
+                self.caps[j - 1], PreferenceList(tuple(tuple(g) for g in groups if g))
+            )
+        return Instance(residents=tuple(residents), hospitals=tuple(hospitals))
 
 
 def hospitals_offer(instance: Instance) -> tuple[Instance, set[Pair]]:

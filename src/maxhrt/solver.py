@@ -1,4 +1,4 @@
-"""Exact maximization of the pair-variable model in three phases.
+"""Exact maximization of the pair-variable model in four phases.
 
 1. **Warm start.** A weakly stable matching (tie-breaking plus deferred
    acceptance, computed if not supplied) is the first incumbent, so a
@@ -35,12 +35,22 @@
    node's placement (fixed residents moved in, pairs fixed to 0 and
    overfull hospitals cleared) and then augments only the residents left
    unplaced, so the bound is exact integral arithmetic throughout.
+4. **Race.** A search still open after ESCALATE_AFTER_NODES nodes forks a
+   child that runs HiGHS on the model plus the paper's objective-range
+   row, incumbent + 1 <= sum(x) <= root bound, within the time left (see
+   `highs`). The search goes on meanwhile and polls the child at each
+   deadline check; whichever finishes first wins. A HiGHS optimum becomes
+   the incumbent only through `core.certify`, and an infeasible range
+   proves the incumbent optimal; any other answer leaves the search to
+   run as it would alone. The child is killed and reaped before the
+   solve returns, on every path.
 
 The search reads the model's pair index (each agent's columns best first,
-and each pair's ranks) and never the model's rows.
+and each pair's ranks) and never the model's rows; only the HiGHS child
+does.
 
-Every matching that becomes the incumbent (warm start, promotion start or
-search leaf) passes `core.certify` against the model's instance.
+Every matching that becomes the incumbent (warm start, promotion start,
+search leaf or HiGHS optimum) passes `core.certify` against the model's instance.
 Hitting the wall-clock cutoff returns the incumbent with the root
 relaxation as the surviving proof bound.
 """
@@ -52,6 +62,7 @@ import random
 import time
 from dataclasses import dataclass
 
+from . import highs
 from .core import Matching, build_rank_table, certify
 from .heuristics import promotion_start
 from .heuristics import warm_start as default_warm_start
@@ -62,6 +73,8 @@ _UNFIXED = -1
 _BIG = 1 << 30
 # Seeds the primal phase tries before the search, each a promotion start.
 PROMOTION_TRIES = 32
+# Nodes after which a search with the gap still open races HiGHS in a child.
+ESCALATE_AFTER_NODES = 1000
 
 
 class SolveStatus(enum.Enum):
@@ -144,6 +157,7 @@ class _Search:
         # diving along it tries to realize the bound, so that proving and
         # finding meet in the middle, and the next bound repairs it
         self.guide = [-1] * self.n1
+        self.child: highs.Child | None = None  # the HiGHS race, once started
 
     # -- state updates ----------------------------------------------------
 
@@ -427,7 +441,36 @@ class _Search:
 
     # -- main loop ----------------------------------------------------------
 
+    def _race(self, root_bound: int, deadline: float) -> bool:
+        """Start the HiGHS child, or read its answer; True once it proves the incumbent."""
+        if self.child is None:
+            self.child = highs.start(
+                self.model, self.incumbent_size + 1, root_bound, deadline - time.monotonic()
+            )
+            return False
+        answer = highs.poll(self.child)
+        if answer is None:
+            return False
+        status, columns = answer
+        if status != highs.OPTIMAL:
+            return status == highs.INFEASIBLE  # no better matching in the range
+        variables = self.model.variables
+        matching = Matching.from_pairs(
+            (variables[c].resident, variables[c].hospital) for c in columns
+        )
+        if len(matching) < self.incumbent_size:
+            raise SolverInternalError(f"HiGHS optimum {len(matching)} is below the incumbent")
+        self._adopt(matching, "HiGHS optimum")
+        return True
+
     def run(self) -> SolveOutcome:
+        try:
+            return self._run()
+        finally:
+            if self.child is not None:
+                highs.close(self.child)
+
+    def _run(self) -> SolveOutcome:
         start = time.monotonic()
         deadline = start + self.options.time_limit
         if not self._propagate_root():
@@ -447,6 +490,8 @@ class _Search:
                 if time.monotonic() > deadline:
                     timed_out = True
                     break
+                if self.nodes >= ESCALATE_AFTER_NODES and self._race(root_bound, deadline):
+                    break  # HiGHS proved the incumbent optimal
                 v = self._select_var()
                 expand = False
                 if v >= 0:

@@ -258,3 +258,21 @@ def test_deleted_pairs_out_of_play():
             for r, h in deleted:
                 assert matching.hospital_of(r) != h
                 assert (r, h) not in blockers
+
+
+@pytest.mark.parametrize("tie_density", [0.0, 0.5, 0.85])
+def test_reduction_keeps_the_lists_of_agents_that_lost_no_pair(tie_density):
+    # Each list of the reduced instance is the original without its deleted
+    # pairs, and an agent that lost none keeps its original list object.
+    instance = generate(sfas_like(150, tie_density, seed=3))
+    for reduction in (hospitals_offer, residents_apply):
+        reduced, deleted = reduction(instance)
+        for i, (before, after) in enumerate(zip(instance.residents, reduced.residents), start=1):
+            lost = {h for r, h in deleted if r == i}
+            assert after == before.without(lost)
+            assert (after is before) == (not lost)
+        for j, (before, after) in enumerate(zip(instance.hospitals, reduced.hospitals), start=1):
+            lost = {r for r, h in deleted if h == j}
+            assert after == Hospital(before.capacity, before.preferences.without(lost))
+            assert (after is before) == (not lost)
+        instance = reduced  # the second pass runs on the first's output

@@ -1,6 +1,9 @@
 """Branch-and-bound solver against the enumeration oracle and its contracts."""
 
+import os
 import random
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_matrix
 
+from maxhrt import highs
 from maxhrt.core import (
     Hospital,
     Instance,
@@ -27,9 +31,11 @@ from maxhrt.preprocess import ResidentTiesError, reduce_instance
 from maxhrt.relaxation import max_placement
 from maxhrt.solver import (
     _UNFIXED,
+    ESCALATE_AFTER_NODES,
     PROMOTION_TRIES,
     SolveOptions,
     SolveStatus,
+    SolverInternalError,
     _Search,
     solve,
 )
@@ -423,11 +429,12 @@ def _sfas(n1, tie_density, seed):
 # SFAS-like instances beyond the oracle's reach. (100, 0.85, 3), (100, 0.85, 7)
 # and (150, 0.5, 2) are ones where the search once claimed Optimal at 99, 98
 # and 145 against optima of 100, 99 and 146. Within the 1 s limit,
-# (150, 0.5, 2) is proved only after a search of thousands of nodes,
-# (150, 0.5, 7) and (300, 0.5, 5) after the root's fixings from the
-# relaxation's structure and a short search, and (100, 0.85, 7) times out;
-# the others are proved at the root node. The two-sided instance has ties on
-# both sides, so it is solved unreduced.
+# (150, 0.5, 2) and (100, 0.85, 7) run past ESCALATE_AFTER_NODES nodes and
+# race HiGHS (the search alone proves the first after thousands of nodes and
+# times out on the second), (150, 0.5, 7) and (300, 0.5, 5) are proved after
+# the root's fixings from the relaxation's structure and a short search, and
+# the others at the root node. The two-sided instance has ties on both sides,
+# so it is solved unreduced.
 @pytest.mark.parametrize(
     "config",
     [_sfas(40, 0.85, 0), _sfas(70, 0.5, 0), _sfas(100, 0.5, 3), _sfas(100, 0.85, 3),
@@ -530,7 +537,9 @@ def test_upper_bound_rejects_bad_fixing(fig1):
 
 
 def test_solve_never_reads_rows(fig1, monkeypatch):
-    # the search works from the pair index alone; the rows are for export
+    # the search works from the pair index alone; the rows are for export and
+    # for the HiGHS child, which (150, 0.5, 2) starts: the child inherits the
+    # raising property, fails, and leaves the search to finish the proof
     models = [_model(fig1), _pipeline_model(generate(sfas_like(150, 0.5, 2)))]
 
     def no_rows(model):
@@ -576,3 +585,151 @@ def test_long_augmenting_path_chain():
     assert outcome.status is SolveStatus.OPTIMAL
     assert outcome.objective == outcome.proof_bound == n - 1
     assert outcome.nodes == 1
+
+
+# -- the race against HiGHS in a child process --------------------------------
+
+
+def _bound_limited_model():
+    """sfas_like(100, 0.85, 7)'s pipeline model: optimum 99 under a root bound of 100.
+
+    The search alone times out here at 99.
+    """
+    return _pipeline_model(generate(sfas_like(100, 0.85, 7)))
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _answer(child, seconds=30.0):
+    """The child's answer, waiting up to `seconds` for it."""
+    end = time.monotonic() + seconds
+    while (answer := highs.poll(child)) is None and time.monotonic() < end:
+        time.sleep(0.01)
+    return answer
+
+
+@pytest.mark.parametrize("lo, status", [(100, highs.INFEASIBLE), (99, highs.OPTIMAL)])
+def test_highs_child_answers_on_the_range(lo, status):
+    model = _bound_limited_model()
+    child = highs.start(model, lo, 100, 30.0)
+    try:
+        answer = _answer(child)
+    finally:
+        highs.close(child)
+    _assert_no_child()
+    assert answer is not None and answer[0] == status
+    if status == highs.OPTIMAL:
+        variables = model.variables
+        matching = Matching.from_pairs(
+            (variables[c].resident, variables[c].hospital) for c in answer[1]
+        )
+        assert len(matching) == 99
+        assert certify(model.instance, build_rank_table(model.instance), matching) is None
+
+
+def test_race_proves_what_the_search_alone_cannot():
+    instance = generate(sfas_like(100, 0.85, 7))
+    outcome = solve(_pipeline_model(instance), SolveOptions(time_limit=3.5))
+    _assert_no_child()
+    assert outcome.status is SolveStatus.OPTIMAL
+    assert outcome.objective == outcome.proof_bound == 99
+    assert outcome.nodes >= ESCALATE_AFTER_NODES
+    assert certify(instance, build_rank_table(instance), outcome.matching) is None
+
+
+def test_race_rejects_an_unstable_highs_optimum(monkeypatch):
+    # A maximum placement of the relaxation matches all 100 residents, one
+    # more than any stable matching: the child's "optimum" must not pass.
+    model = _bound_limited_model()
+    n1 = model.instance.n1
+    caps = [model.instance.capacity(j) for j in range(1, model.instance.n2 + 1)]
+    var_hosp = [v.hospital - 1 for v in model.variables]
+    placement = [-1] * n1
+    state = [_UNFIXED] * model.num_variables
+    assert max_placement(caps, var_hosp, model.res_columns, state, [-1] * n1, placement) == 100
+    answer = (highs.OPTIMAL, tuple(col for col in placement if col >= 0))
+    monkeypatch.setattr("maxhrt.solver.ESCALATE_AFTER_NODES", 1)
+    monkeypatch.setattr(highs, "start", lambda *args: highs.Child(-1, -1, answer))
+    with pytest.raises(SolverInternalError, match="HiGHS optimum is not weakly stable"):
+        solve(model, SolveOptions(time_limit=60.0))
+
+
+def test_race_without_scipy_runs_as_the_search_alone(monkeypatch):
+    model = _bound_limited_model()
+    monkeypatch.setattr("maxhrt.solver.ESCALATE_AFTER_NODES", 10**9)
+    alone = solve(model, SolveOptions(time_limit=1.0))
+    monkeypatch.setattr("maxhrt.solver.ESCALATE_AFTER_NODES", 1)
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)  # the child's import fails
+    child = highs.start(model, 100, 100, 30.0)
+    try:
+        assert _answer(child) == (highs.FAILED, ())
+    finally:
+        highs.close(child)
+    raced = solve(model, SolveOptions(time_limit=1.0))
+    _assert_no_child()
+    assert alone.status is raced.status is SolveStatus.FEASIBLE_TIMEOUT
+    assert alone.objective == raced.objective == 99
+    assert alone.proof_bound == raced.proof_bound == 100
+
+
+def test_no_child_outlives_solve(monkeypatch):
+    monkeypatch.setattr("maxhrt.solver.ESCALATE_AFTER_NODES", 1)
+    # the search wins: 117 nodes, far sooner than the child answers
+    outcome = solve(_pipeline_model(generate(sfas_like(300, 0.5, 5))), SolveOptions(60.0))
+    assert outcome.status is SolveStatus.OPTIMAL
+    _assert_no_child()
+    # the deadline strikes mid-race: HiGHS needs over 10 s here
+    slow = _pipeline_model(generate(sfas_like(200, 0.85, 8)))
+    outcome = solve(slow, SolveOptions(time_limit=1.0))
+    assert outcome.status is SolveStatus.FEASIBLE_TIMEOUT
+    _assert_no_child()
+
+    # an exception ends the search while the child is running
+    def failing_poll(child):
+        raise RuntimeError("poll failed")
+
+    monkeypatch.setattr(highs, "poll", failing_poll)
+    with pytest.raises(RuntimeError, match="poll failed"):
+        solve(slow, SolveOptions(time_limit=60.0))
+    _assert_no_child()
+
+
+# Instances beyond the oracle's reach whose root leaves a gap, so that with
+# the threshold at one node the race starts right after the root. The search
+# alone proves (120, 0.5, 8) in 46 nodes and (150, 0.5, 2) in about 4 300,
+# and times out at 2 s on the others; the two-sided instance is solved
+# unreduced.
+@pytest.mark.parametrize(
+    "config",
+    [_sfas(100, 0.85, 7), _sfas(120, 0.5, 0), _sfas(120, 0.5, 8), _sfas(120, 0.85, 26),
+     _sfas(150, 0.5, 2),
+     pytest.param(GeneratorConfig(100, 7, 100, 5, 0.3, 0.5, seed=7), id="two-sided-100-7")],
+)
+def test_race_from_the_first_node_agrees_with_highs(config, monkeypatch):
+    monkeypatch.setattr("maxhrt.solver.ESCALATE_AFTER_NODES", 1)
+    instance = generate(config)
+    optimum = highs_optimum(_model(instance))
+    outcome = solve(_pipeline_model(instance), SolveOptions(time_limit=30.0))
+    _assert_no_child()
+    assert outcome.status is SolveStatus.OPTIMAL
+    assert outcome.objective == outcome.proof_bound == optimum
+    assert certify(instance, build_rank_table(instance), outcome.matching) is None
+
+
+def test_solver_import_loads_no_heavy_modules():
+    # HiGHS runs in a forked child; numpy and scipy in the solver's process
+    # would cost about 60 MB, and a process pool's modules more start-up.
+    code = (
+        "import sys, maxhrt.solver; "
+        "print(*[m for m in ('numpy', 'scipy', 'multiprocessing', 'subprocess') "
+        "if m in sys.modules])"
+    )
+    src = os.path.dirname(os.path.dirname(highs.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.split() == []

@@ -11,7 +11,7 @@ other result, and always leaves by `os._exit`. A child that raises writes
 nothing, and an empty answer reads as `Failed`.
 
 `poll` reads the answer without blocking; `close` kills the child and
-reaps it. Without `os.fork`, or when the pipe or the fork fails, `start`
+reaps it, unless the host process has reaped it already. Without `os.fork`, or when the pipe or the fork fails, `start`
 returns a child that has already answered `Failed`.
 """
 
@@ -80,8 +80,14 @@ def poll(child: Child) -> Answer | None:
 def close(child: Child) -> None:
     """Kill the child, whether or not it has answered, and reap it."""
     if child.pid > 0:
-        os.kill(child.pid, signal.SIGKILL)  # a child that exited stays a zombie until reaped
-        os.waitpid(child.pid, 0)
+        try:
+            # a child that exited stays a zombie, and keeps its pid, until
+            # reaped here; one reaped elsewhere is never signalled
+            if os.waitpid(child.pid, os.WNOHANG) == (0, 0):
+                os.kill(child.pid, signal.SIGKILL)
+                os.waitpid(child.pid, 0)
+        except (ChildProcessError, ProcessLookupError):
+            pass  # the host reaps children itself: SIGCHLD ignored, or waitpid(-1)
         child.pid = -1
     if child.fd >= 0:
         os.close(child.fd)

@@ -43,7 +43,10 @@
    the incumbent only through `core.certify`, and an infeasible range
    proves the incumbent optimal; any other answer leaves the search to
    run as it would alone. The child is killed and reaped before the
-   solve returns, on every path.
+   solve returns, on every path. Such a proof rests on HiGHS's
+   floating-point tolerances rather than the search's integral bound, and
+   past the threshold the returned matching and node count depend on
+   which side finishes first.
 
 The search reads the model's pair index (each agent's columns best first,
 and each pair's ranks) and never the model's rows; only the HiGHS child

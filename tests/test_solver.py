@@ -2,6 +2,7 @@
 
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -428,13 +429,13 @@ def _sfas(n1, tie_density, seed):
 
 # SFAS-like instances beyond the oracle's reach. (100, 0.85, 3), (100, 0.85, 7)
 # and (150, 0.5, 2) are ones where the search once claimed Optimal at 99, 98
-# and 145 against optima of 100, 99 and 146. Within the 1 s limit,
-# (150, 0.5, 2) and (100, 0.85, 7) run past ESCALATE_AFTER_NODES nodes and
-# race HiGHS (the search alone proves the first after thousands of nodes and
-# times out on the second), (150, 0.5, 7) and (300, 0.5, 5) are proved after
-# the root's fixings from the relaxation's structure and a short search, and
-# the others at the root node. The two-sided instance has ties on both sides,
-# so it is solved unreduced.
+# and 145 against optima of 100, 99 and 146. The race is switched off, so
+# every claim is the search's own. Within the 1 s limit, (150, 0.5, 2) is
+# proved only after a search of thousands of nodes, (150, 0.5, 7) and
+# (300, 0.5, 5) after the root's fixings from the relaxation's structure and
+# a short search, and (100, 0.85, 7) times out; the others are proved at the
+# root node. The two-sided instance has ties on both sides, so it is solved
+# unreduced.
 @pytest.mark.parametrize(
     "config",
     [_sfas(40, 0.85, 0), _sfas(70, 0.5, 0), _sfas(100, 0.5, 3), _sfas(100, 0.85, 3),
@@ -442,7 +443,8 @@ def _sfas(n1, tie_density, seed):
      _sfas(300, 0.5, 5),
      pytest.param(GeneratorConfig(150, 10, 150, 5, 0.3, 0.5, seed=1), id="two-sided-150-1")],
 )
-def test_never_claims_beyond_highs(config):
+def test_never_claims_beyond_highs(config, monkeypatch):
+    monkeypatch.setattr("maxhrt.solver.ESCALATE_AFTER_NODES", 10**9)
     instance = generate(config)
     optimum = highs_optimum(_model(instance))
     outcome = solve(_pipeline_model(instance), SolveOptions(time_limit=1.0))
@@ -540,14 +542,16 @@ def test_solve_never_reads_rows(fig1, monkeypatch):
     # the search works from the pair index alone; the rows are for export and
     # for the HiGHS child, which (150, 0.5, 2) starts: the child inherits the
     # raising property, fails, and leaves the search to finish the proof
-    models = [_model(fig1), _pipeline_model(generate(sfas_like(150, 0.5, 2)))]
+    cases = [(_model(fig1), 6), (_pipeline_model(generate(sfas_like(150, 0.5, 2))), 146)]
 
     def no_rows(model):
         raise AssertionError("solve read the model's rows")
 
     monkeypatch.setattr(IpModel, "constraints", property(no_rows))
-    for model in models:
-        assert solve(model, SolveOptions(time_limit=60.0)).status is SolveStatus.OPTIMAL
+    for model, optimum in cases:
+        outcome = solve(model, SolveOptions(time_limit=60.0))
+        assert outcome.status is SolveStatus.OPTIMAL
+        assert outcome.objective == optimum
 
 
 # A seed only shuffles residents' ties, so strict resident lists get one try.
@@ -697,6 +701,51 @@ def test_no_child_outlives_solve(monkeypatch):
     _assert_no_child()
 
 
+def test_race_in_a_host_that_reaps_children(monkeypatch):
+    # With SIGCHLD ignored the kernel reaps the child as it exits, so close()
+    # finds no child to wait for, whether it answered or was still working.
+    monkeypatch.setattr("maxhrt.solver.ESCALATE_AFTER_NODES", 1)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        answered = solve(_bound_limited_model(), SolveOptions(time_limit=30.0))
+        slow = _pipeline_model(generate(sfas_like(200, 0.85, 8)))
+        cut = solve(slow, SolveOptions(time_limit=1.0))
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    _assert_no_child()
+    assert answered.status is SolveStatus.OPTIMAL
+    assert answered.objective == answered.proof_bound == 99
+    assert cut.status is SolveStatus.FEASIBLE_TIMEOUT
+
+
+def _fresh_interpreter(code, *flags):
+    """Run `code` in a new interpreter that imports maxhrt from this checkout."""
+    src = os.path.dirname(os.path.dirname(highs.__file__))
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+def test_race_forks_from_a_process_without_threads():
+    # The solver's process forks its HiGHS child; from Python 3.12 a fork in
+    # a process with threads warns (DeprecationWarning), since the child can
+    # hang on a lock another thread held. Here no such warning may be shown.
+    code = (
+        "from maxhrt import solver\n"
+        "from maxhrt.core import build_rank_table\n"
+        "from maxhrt.generator import generate, sfas_like\n"
+        "from maxhrt.ip_model import build_model\n"
+        "from maxhrt.preprocess import reduce_instance\n"
+        "solver.ESCALATE_AFTER_NODES = 1\n"
+        "instance, _ = reduce_instance(generate(sfas_like(300, 0.5, 5)))\n"
+        "model = build_model(instance, build_rank_table(instance))\n"
+        "print(solver.solve(model, solver.SolveOptions(60.0)).status.name)\n"
+    )
+    result = _fresh_interpreter(code, "-W", "always::DeprecationWarning")
+    assert (result.returncode, result.stderr, result.stdout) == (0, "", "OPTIMAL\n")
+
+
 # Instances beyond the oracle's reach whose root leaves a gap, so that with
 # the threshold at one node the race starts right after the root. The search
 # alone proves (120, 0.5, 8) in 46 nodes and (150, 0.5, 2) in about 4 300,
@@ -727,9 +776,5 @@ def test_solver_import_loads_no_heavy_modules():
         "print(*[m for m in ('numpy', 'scipy', 'multiprocessing', 'subprocess') "
         "if m in sys.modules])"
     )
-    src = os.path.dirname(os.path.dirname(highs.__file__))
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
-    )
-    assert result.stdout.split() == []
+    result = _fresh_interpreter(code)
+    assert (result.returncode, result.stdout.split()) == (0, [])

@@ -53,9 +53,6 @@ class LinearConstraint:
     kind: str  # "resident" | "capacity" | "stability"
     pair: tuple[int, int] | None = None
 
-    def violated_by(self, vector: Sequence[int]) -> bool:
-        return sum(c * vector[col] for col, c in self.coefficients) > self.rhs
-
 
 @dataclass(frozen=True, eq=False)
 class IpModel:
@@ -95,13 +92,6 @@ class IpModel:
             terms = tuple(sorted(coeff.items()))
             rows.append(LinearConstraint(f"stab_{i}_{j}", terms, -cap, "stability", (i, j)))
         return tuple(rows)
-
-    def is_feasible(self, vector: Sequence[int]) -> bool:
-        if len(vector) != len(self.variables):
-            raise ValueError("vector length does not match variable count")
-        if any(x not in (0, 1) for x in vector):
-            return False
-        return not any(c.violated_by(vector) for c in self.constraints)
 
     def encode(self, matching: Matching) -> list[int]:
         """Indicator vector of a matching over this model's pairs."""

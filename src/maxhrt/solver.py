@@ -6,9 +6,12 @@
 2. **Root.** Root propagation fixes pairs to hospitals with no post to 0,
    then the root bound is a capacitated bipartite matching relaxation that
    ignores stability rows. While the incumbent is below it, promotion
-   starts (Király's deferred acceptance) with seeds 0 to PROMOTION_TRIES - 1
-   are tried, each before the deadline; the largest is kept. A seed only
-   breaks residents' ties, so without any there is one try. An incumbent
+   starts (Király's deferred acceptance, `heuristics.promotion_starts`)
+   are tried, each before the deadline, and the largest is kept: seeds 0
+   to PROMOTION_TRIES - 1 when residents have ties, else seed 0 alone.
+   Beyond seed 0 a seed also shuffles the proposal order, which on strict
+   resident lists is all it changes; such tries are left to phase 4, so
+   that a root the search closes quickly pays for one try. An incumbent
    that meets the root bound is optimal, proved at the root node. An
    incumbent one below it leaves only maximum placements of the
    relaxation to find, so the root fixes to 0 every pair in none of them
@@ -38,15 +41,20 @@
 4. **Race.** A search still open after ESCALATE_AFTER_NODES nodes forks a
    child that runs HiGHS on the model plus the paper's objective-range
    row, incumbent + 1 <= sum(x) <= root bound, within the time left (see
-   `highs`). The search goes on meanwhile and polls the child at each
-   deadline check; whichever finishes first wins. A HiGHS optimum becomes
-   the incumbent only through `core.certify`, and an infeasible range
-   proves the incumbent optimal; any other answer leaves the search to
-   run as it would alone. The child is killed and reaped before the
-   solve returns, on every path. Such a proof rests on HiGHS's
-   floating-point tolerances rather than the search's integral bound, and
-   past the threshold the returned matching and node count depend on
-   which side finishes first.
+   `highs`). The child spends most of a second importing scipy, so the
+   parent first goes on with the next promotion seeds, up to RACE_TRIES
+   in all, until one meets the root bound, the deadline passes, or the
+   child answers Optimal or Infeasible. The search then goes on and polls
+   the child at each deadline check; whichever finishes first wins. A
+   HiGHS optimum becomes the incumbent only through `core.certify`, and
+   an infeasible range proves the incumbent optimal, unless the incumbent
+   has meanwhile grown into that range: then HiGHS contradicts a certified
+   matching, and the solve raises `SolverInternalError`. Any other answer
+   (or a host without scipy or `os.fork`) leaves the search to run as it
+   would alone. The child is killed and reaped before the solve returns,
+   on every path. Such a proof rests on HiGHS's floating-point tolerances
+   rather than the search's integral bound, and past the threshold the
+   returned matching and node count depend on which side finishes first.
 
 The search reads the model's pair index (each agent's columns best first,
 and each pair's ranks) and never the model's rows; only the HiGHS child
@@ -64,18 +72,22 @@ import enum
 import random
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from . import highs
 from .core import Matching, build_rank_table, certify
-from .heuristics import promotion_start
+from .heuristics import promotion_starts
 from .heuristics import warm_start as default_warm_start
 from .ip_model import IpModel
 from .relaxation import max_placement, structural_fixings
 
 _UNFIXED = -1
 _BIG = 1 << 30
-# Seeds the primal phase tries before the search, each a promotion start.
+# Seeds the primal phase tries at the root when residents have ties, each a
+# promotion start; without resident ties the root tries seed 0 alone.
 PROMOTION_TRIES = 32
+# Seeds tried in all, root included, once the HiGHS race starts.
+RACE_TRIES = 256
 # Nodes after which a search with the gap still open races HiGHS in a child.
 ESCALATE_AFTER_NODES = 1000
 
@@ -161,6 +173,10 @@ class _Search:
         # finding meet in the middle, and the next bound repairs it
         self.guide = [-1] * self.n1
         self.child: highs.Child | None = None  # the HiGHS race, once started
+        self.race_floor = 0  # the child's range starts here: old incumbent + 1
+        # promotion starts: the seed -> matching function, built at the first try
+        self.promote: Callable[[int], Matching] | None = None
+        self.next_seed = 0
 
     # -- state updates ----------------------------------------------------
 
@@ -361,19 +377,33 @@ class _Search:
         self.incumbent_size = len(matching)
 
     def _primal_phase(self, target: int, deadline: float) -> None:
+        """The root's promotion starts: seeds 0 to PROMOTION_TRIES - 1, or 0 alone.
+
+        Seeds beyond 0 shuffle residents' ties, and only these earn a place
+        at the root: every open root pays for its tries, also one the search
+        closes in a few nodes. The rest wait for the race (`_race`).
+        """
+        tied = any(not plist.is_strict() for plist in self.model.instance.residents)
+        self._try_seeds(target, deadline, PROMOTION_TRIES if tied else 1)
+
+    def _try_seeds(self, target: int, deadline: float, stop: int) -> None:
         """Raise the incumbent toward `target` with promotion starts.
 
-        Stops once the incumbent meets `target` (then it is proved optimal),
-        after seeds 0 to PROMOTION_TRIES - 1 (only seed 0 if no resident
-        list has a tie), or at the deadline.
+        Tries the seeds from `next_seed` up to `stop` - 1, and stops once the
+        incumbent meets `target` (then it is proved optimal), at the
+        deadline, or once the HiGHS child's answer decides the solve.
         """
-        instance = self.model.instance
-        # a seed only shuffles residents' ties: with none, every try is the same
-        tied = any(not plist.is_strict() for plist in instance.residents)
-        for seed in range(PROMOTION_TRIES if tied else 1):
-            if self.incumbent_size >= target or time.monotonic() > deadline:
-                return
-            candidate = promotion_start(instance, seed)
+        while (
+            self.next_seed < stop
+            and self.incumbent_size < target
+            and time.monotonic() <= deadline
+            and not self._child_decides()
+        ):
+            if self.promote is None:
+                self.promote = promotion_starts(self.model.instance)
+            seed = self.next_seed
+            self.next_seed += 1
+            candidate = self.promote(seed)
             if len(candidate) > self.incumbent_size:
                 self._adopt(candidate, f"promotion start (seed {seed})")
 
@@ -444,17 +474,36 @@ class _Search:
 
     # -- main loop ----------------------------------------------------------
 
-    def _race(self, root_bound: int, deadline: float) -> bool:
-        """Start the HiGHS child, or read its answer; True once it proves the incumbent."""
+    def _child_decides(self) -> bool:
+        """Whether the HiGHS child has answered Optimal or Infeasible."""
         if self.child is None:
-            self.child = highs.start(
-                self.model, self.incumbent_size + 1, root_bound, deadline - time.monotonic()
-            )
             return False
+        answer = highs.poll(self.child)
+        return answer is not None and answer[0] != highs.FAILED
+
+    def _race(self, root_bound: int, deadline: float) -> bool:
+        """Start the HiGHS child, or read its answer; True once the incumbent is proved.
+
+        Right after the fork the child spends most of a second importing
+        scipy, so the parent tries more promotion starts first.
+        """
+        if self.child is None:
+            self.race_floor = self.incumbent_size + 1
+            self.child = highs.start(
+                self.model, self.race_floor, root_bound, deadline - time.monotonic()
+            )
+            self._try_seeds(root_bound, deadline, RACE_TRIES)
+            if self.incumbent_size >= root_bound:
+                return True
         answer = highs.poll(self.child)
         if answer is None:
             return False
         status, columns = answer
+        if status == highs.INFEASIBLE and self.incumbent_size >= self.race_floor:
+            raise SolverInternalError(
+                f"HiGHS found no matching of size {self.race_floor} to {root_bound},"
+                f" but the incumbent has {self.incumbent_size}"
+            )
         if status != highs.OPTIMAL:
             return status == highs.INFEASIBLE  # no better matching in the range
         variables = self.model.variables
@@ -494,7 +543,7 @@ class _Search:
                     timed_out = True
                     break
                 if self.nodes >= ESCALATE_AFTER_NODES and self._race(root_bound, deadline):
-                    break  # HiGHS proved the incumbent optimal
+                    break  # HiGHS, or a promotion start at the bound, proved the incumbent
                 v = self._select_var()
                 expand = False
                 if v >= 0:

@@ -5,6 +5,13 @@ not list h2) to exercise mutuality pruning. After pruning the instance has
 10 acceptable pairs.
 """
 
+import os
+
+# The race tests fork this process. numpy, which the tests import, would
+# otherwise start OpenBLAS's threads, and a fork from a process with
+# threads can leave the child waiting on a lock no thread will release.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import pytest
 
 from maxhrt.core import Matching, build_rank_table

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Instance, Matching, blocking_pairs, build_rank_table
+from maxhrt.core import Instance, Matching, blocking_pairs, build_rank_table
 
 
 @dataclass(frozen=True)

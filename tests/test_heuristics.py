@@ -14,11 +14,12 @@ from maxhrt.core import (
     build_rank_table,
     certify,
 )
-from maxhrt.heuristics import break_ties, gale_shapley, promotion_start, warm_start
+from maxhrt.generator import generate, sfas_like
+from maxhrt.heuristics import break_ties, gale_shapley, promotion_starts, warm_start
 from maxhrt.instance_io import parse_instance
-from maxhrt.oracle import OracleLimit, max_stable_size
 
 from conftest import FIG1_TEXT
+from oracle import OracleLimit, max_stable_size
 from strategies import carry, instances_strategy, relabel
 
 
@@ -110,7 +111,7 @@ def test_gale_shapley_no_blocking_pair_in_strict(data):
 @given(data=st.data(), seed=st.integers(0, 2**30))
 def test_promotion_start_weakly_stable_with_ties_on_both_sides(data, seed):
     instance = data.draw(instances_strategy())
-    matching = promotion_start(instance, seed)
+    matching = promotion_starts(instance)(seed)
     assert certify(instance, build_rank_table(instance), matching) is None
 
 
@@ -118,14 +119,14 @@ def test_promotion_start_weakly_stable_with_ties_on_both_sides(data, seed):
 @given(data=st.data(), seed=st.integers(0, 2**30))
 def test_promotion_start_deterministic_given_seed(data, seed):
     instance = data.draw(instances_strategy())
-    assert promotion_start(instance, seed) == promotion_start(instance, seed)
+    assert promotion_starts(instance)(seed) == promotion_starts(instance)(seed)
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2**30))
 def test_promotion_start_is_gale_shapley_on_strict(data, seed):
     instance = data.draw(instances_strategy(ties=False))
-    assert promotion_start(instance, seed) == gale_shapley(instance)
+    assert promotion_starts(instance)(seed) == gale_shapley(instance)
 
 
 @settings(max_examples=60, deadline=None)
@@ -137,7 +138,7 @@ def test_promotion_start_two_thirds_of_optimum_with_hospital_ties(data, seed):
         hospitals=tied.hospitals,
     )
     optimum = max_stable_size(instance, OracleLimit(max_pairs=32))
-    assert len(promotion_start(instance, seed)) >= math.ceil(2 * optimum / 3)
+    assert len(promotion_starts(instance)(seed)) >= math.ceil(2 * optimum / 3)
 
 
 def test_promotion_start_reaches_optimum_where_tie_breaking_may_not(fig1, m1):
@@ -149,4 +150,16 @@ def test_promotion_start_reaches_optimum_where_tie_breaking_may_not(fig1, m1):
     rng = random.Random(39)
     for seed in range(20):
         relabeled, res_map, hosp_map = relabel(fig1, rng)
-        assert promotion_start(relabeled, seed) == carry(m1, res_map, hosp_map)
+        assert promotion_starts(relabeled)(seed) == carry(m1, res_map, hosp_map)
+
+
+def test_promotion_seeds_shuffle_the_proposal_order():
+    # Residents' lists are strict, so only the proposal order differs from
+    # seed to seed; with the hospitals' ties kept, it changes the matching.
+    instance = generate(sfas_like(100, 0.85, 4))
+    assert all(p.is_strict() for p in instance.residents)
+    start = promotion_starts(instance)
+    matchings = {start(seed) for seed in range(8)}
+    assert len(matchings) > 1
+    ranks = build_rank_table(instance)
+    assert all(certify(instance, ranks, m) is None for m in matchings)

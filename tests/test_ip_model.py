@@ -12,15 +12,29 @@ from scipy.optimize import Bounds, LinearConstraint as ScipyRow, milp
 from maxhrt.core import Matching, build_rank_table, certify
 from maxhrt.instance_io import parse_instance
 from maxhrt.ip_model import LinearConstraint, build_model, export_lp
-from maxhrt.oracle import OracleLimit, enumerate_stable_matchings, max_stable_size
 from maxhrt.generator import GeneratorConfig, generate
 
 from conftest import M1_PAIRS
+from oracle import OracleLimit, enumerate_stable_matchings, max_stable_size
 from strategies import instances_strategy
 
 
 def _model(instance):
     return build_model(instance, build_rank_table(instance))
+
+
+def violated_by(row, vector):
+    """Whether the 0/1 point breaks the row."""
+    return sum(c * vector[col] for col, c in row.coefficients) > row.rhs
+
+
+def is_feasible(model, vector):
+    """Whether the point is 0/1 and satisfies every row of the model."""
+    if len(vector) != model.num_variables:
+        raise ValueError("vector length does not match variable count")
+    if any(x not in (0, 1) for x in vector):
+        return False
+    return not any(violated_by(row, vector) for row in model.constraints)
 
 
 def reference_rows(instance, ranks):
@@ -100,8 +114,8 @@ def test_single_pair_forces_match(single_pair):
     stab = [c for c in model.constraints if c.kind == "stability"]
     assert stab[0].coefficients == ((0, -2),)
     assert stab[0].rhs == -1
-    assert not model.is_feasible([0])
-    assert model.is_feasible([1])
+    assert not is_feasible(model, [0])
+    assert is_feasible(model, [1])
 
 
 def test_fig1_stability_row_r4_h2(fig1):
@@ -124,7 +138,7 @@ def test_feasible_iff_stable_exhaustive(fig1, fig1_ranks):
     seen = set()
     for bits in itertools.product((0, 1), repeat=model.num_variables):
         vector = list(bits)
-        if model.is_feasible(vector):
+        if is_feasible(model, vector):
             pairs = [
                 (v.resident, v.hospital)
                 for v in model.variables
@@ -136,19 +150,19 @@ def test_feasible_iff_stable_exhaustive(fig1, fig1_ranks):
             seen.add(matching)
     assert seen == stable_set
     for matching in stable_set:
-        assert model.is_feasible(model.encode(matching))
+        assert is_feasible(model, model.encode(matching))
 
 
 def test_all_zero_violates_some_stability_row(fig1):
     model = _model(fig1)
     zero = [0] * model.num_variables
-    violated = [c for c in model.constraints if c.violated_by(zero)]
+    violated = [c for c in model.constraints if violated_by(c, zero)]
     assert violated and all(c.kind == "stability" for c in violated)
 
 
 def test_m1_indicator_feasible(fig1):
     model = _model(fig1)
-    assert model.is_feasible(model.encode(Matching.from_pairs(M1_PAIRS)))
+    assert is_feasible(model, model.encode(Matching.from_pairs(M1_PAIRS)))
 
 
 def test_export_lp_single_pair(single_pair):

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from maxhrt.core import Matching, build_rank_table, certify, validate_matching
 from maxhrt.instance_io import parse_instance
-from maxhrt.oracle import (
+
+from conftest import M0_PAIRS, M1_PAIRS
+from oracle import (
     OracleLimit,
     OracleLimitError,
     enumerate_stable_matchings,
     max_stable_size,
 )
-
-from conftest import M0_PAIRS, M1_PAIRS
 from strategies import instances_strategy
 
 

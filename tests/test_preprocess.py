@@ -7,7 +7,6 @@ import pytest
 from maxhrt.core import Hospital, Instance, PreferenceList, blocking_pairs, build_rank_table
 from maxhrt.generator import GeneratorConfig, generate, sfas_like
 from maxhrt.instance_io import parse_instance
-from maxhrt.oracle import OracleLimit, enumerate_stable_matchings
 from maxhrt.preprocess import (
     ResidentTiesError,
     hospitals_offer,
@@ -15,6 +14,7 @@ from maxhrt.preprocess import (
     residents_apply,
 )
 
+from oracle import OracleLimit, enumerate_stable_matchings
 from strategies import carry, relabel
 
 ORACLE_LIMIT = OracleLimit(max_residents=10, max_pairs=40)

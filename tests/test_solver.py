@@ -25,15 +25,15 @@ from maxhrt.core import (
     validate_matching,
 )
 from maxhrt.generator import GeneratorConfig, generate, sfas_like
-from maxhrt.heuristics import promotion_start, warm_start
+from maxhrt.heuristics import promotion_starts, warm_start
 from maxhrt.ip_model import IpModel, build_model
-from maxhrt.oracle import OracleLimit, max_stable_size
 from maxhrt.preprocess import ResidentTiesError, reduce_instance
 from maxhrt.relaxation import max_placement
 from maxhrt.solver import (
     _UNFIXED,
     ESCALATE_AFTER_NODES,
     PROMOTION_TRIES,
+    RACE_TRIES,
     SolveOptions,
     SolveStatus,
     SolverInternalError,
@@ -42,6 +42,7 @@ from maxhrt.solver import (
 )
 
 from conftest import M1_PAIRS
+from oracle import OracleLimit, max_stable_size
 from strategies import instances_strategy, relabel
 
 
@@ -554,24 +555,77 @@ def test_solve_never_reads_rows(fig1, monkeypatch):
         assert outcome.objective == optimum
 
 
-# A seed only shuffles residents' ties, so strict resident lists get one try.
+def _failed_child(*args):
+    """A HiGHS child that has already answered Failed, as without scipy."""
+    return highs.Child(-1, -1, (highs.FAILED, ()))
+
+
+# The root tries seeds 0 to PROMOTION_TRIES - 1 when residents have ties, and
+# seed 0 alone when they have none. Once the race starts, the parent goes on
+# with the next seeds up to RACE_TRIES in all; a Failed child stops nothing.
 @pytest.mark.parametrize(
-    "config, tries",
+    "config, root_tries",
     [pytest.param(sfas_like(150, 0.5, 7), 1, id="sfas-150-0.5-7"),
      pytest.param(GeneratorConfig(150, 10, 150, 5, 0.3, 0.5, seed=0), PROMOTION_TRIES,
                   id="two-sided-150-0")],
 )
-def test_primal_phase_tries(config, tries, monkeypatch):
+def test_primal_phase_tries(config, root_tries, monkeypatch):
     search = _Search(_pipeline_model(generate(config)), SolveOptions())
     calls = []
 
-    def counted(instance, seed):
-        calls.append(seed)
-        return promotion_start(instance, seed)
+    def counted(instance):
+        start = promotion_starts(instance)
 
-    monkeypatch.setattr("maxhrt.solver.promotion_start", counted)
-    search._primal_phase(search.n1 + 1, time.monotonic() + 60.0)  # target out of reach
-    assert calls == list(range(tries))
+        def tried(seed):
+            calls.append(seed)
+            return start(seed)
+
+        return tried
+
+    monkeypatch.setattr("maxhrt.solver.promotion_starts", counted)
+    monkeypatch.setattr(highs, "start", _failed_child)
+    out_of_reach = search.n1 + 1
+    deadline = time.monotonic() + 60.0
+    search._primal_phase(out_of_reach, deadline)
+    assert calls == list(range(root_tries))
+    assert not search._race(out_of_reach, deadline)
+    assert calls == list(range(RACE_TRIES))
+
+
+def test_a_deciding_child_stops_the_tries(monkeypatch):
+    search = _Search(_pipeline_model(generate(sfas_like(150, 0.5, 7))), SolveOptions())
+    monkeypatch.setattr(highs, "start", lambda *args: highs.Child(-1, -1, (highs.INFEASIBLE, ())))
+    assert search._race(search.n1 + 1, time.monotonic() + 60.0)
+    assert search.next_seed == 0
+
+
+# Instances whose optimum is the root bound, where the search alone and
+# every root try fall one short. The tries made while the race's child
+# starts reach it: (200, 0.85, 8) at seed 12 and the two-sided instance at
+# seed 59. The child here has failed, so the tries alone prove them.
+TRIES_AT_THE_FORK = [
+    pytest.param(sfas_like(200, 0.85, 8), 200, 12, id="sfas-200-0.85-8"),
+    pytest.param(GeneratorConfig(150, 10, 150, 5, 0.3, 0.5, seed=0), 150, 59,
+                 id="two-sided-150-0"),
+]
+
+
+@pytest.mark.parametrize("config, optimum, seed", TRIES_AT_THE_FORK)
+def test_tries_at_the_fork_prove_at_the_root_bound(config, optimum, seed, monkeypatch):
+    monkeypatch.setattr(highs, "start", _failed_child)
+    instance = generate(config)
+    outcome = solve(_pipeline_model(instance), SolveOptions(time_limit=3.5))
+    assert outcome.status is SolveStatus.OPTIMAL
+    assert outcome.objective == outcome.proof_bound == optimum
+    assert outcome.nodes == ESCALATE_AFTER_NODES
+    assert certify(instance, build_rank_table(instance), outcome.matching) is None
+
+
+@pytest.mark.parametrize("config, optimum, seed", TRIES_AT_THE_FORK)
+def test_first_seed_at_the_root_bound(config, optimum, seed):
+    start = promotion_starts(_pipeline_model(generate(config)).instance)
+    sizes = [len(start(s)) for s in range(seed + 1)]
+    assert sizes[seed] == optimum > max(sizes[:seed])
 
 
 def test_long_augmenting_path_chain():
@@ -661,6 +715,58 @@ def test_race_rejects_an_unstable_highs_optimum(monkeypatch):
         solve(model, SolveOptions(time_limit=60.0))
 
 
+def _answer_once_improved(monkeypatch, answer_for):
+    """Make the race's child answer `answer_for(matching)` once a promotion
+    start at the fork has certified a matching in the child's range.
+
+    Returns the certified matchings, in order, and the range's lower end.
+    """
+    adopted = []
+    adopt = _Search._adopt
+
+    def recording(search, matching, source):
+        adopt(search, matching, source)
+        adopted.append(matching)
+
+    floor = []
+
+    def start(model, lo, hi, seconds):
+        floor.append(lo)
+        return highs.Child(-1, -1)
+
+    def poll(child):
+        if child.answer is None and adopted and len(adopted[-1]) >= floor[0]:
+            child.answer = answer_for(adopted[-1])
+        return child.answer
+
+    monkeypatch.setattr(_Search, "_adopt", recording)
+    monkeypatch.setattr(highs, "start", start)
+    monkeypatch.setattr(highs, "poll", poll)
+    monkeypatch.setattr("maxhrt.solver.ESCALATE_AFTER_NODES", 1)
+    return adopted, floor
+
+
+# (200, 0.85, 7): the root's one try leaves 194 under a root bound of 200, and
+# the tries at the fork raise it to 196 (optimum 197).
+def test_race_rejects_an_infeasible_range_that_holds_the_incumbent(monkeypatch):
+    _answer_once_improved(monkeypatch, lambda matching: (highs.INFEASIBLE, ()))
+    model = _pipeline_model(generate(sfas_like(200, 0.85, 7)))
+    with pytest.raises(SolverInternalError, match="HiGHS found no matching of size"):
+        solve(model, SolveOptions(time_limit=60.0))
+
+
+def test_race_accepts_a_highs_optimum_equal_to_the_improved_incumbent(monkeypatch):
+    def optimal(matching):
+        return highs.OPTIMAL, tuple(c for c, x in enumerate(model.encode(matching)) if x)
+
+    adopted, floor = _answer_once_improved(monkeypatch, optimal)
+    model = _pipeline_model(generate(sfas_like(200, 0.85, 7)))
+    outcome = solve(model, SolveOptions(time_limit=60.0))
+    assert outcome.status is SolveStatus.OPTIMAL
+    assert outcome.matching == adopted[-1] == adopted[-2]  # the try's, then HiGHS's
+    assert outcome.objective == outcome.proof_bound >= floor[0]
+
+
 def test_race_without_scipy_runs_as_the_search_alone(monkeypatch):
     model = _bound_limited_model()
     monkeypatch.setattr("maxhrt.solver.ESCALATE_AFTER_NODES", 10**9)
@@ -685,8 +791,9 @@ def test_no_child_outlives_solve(monkeypatch):
     outcome = solve(_pipeline_model(generate(sfas_like(300, 0.5, 5))), SolveOptions(60.0))
     assert outcome.status is SolveStatus.OPTIMAL
     _assert_no_child()
-    # the deadline strikes mid-race: HiGHS needs over 10 s here
-    slow = _pipeline_model(generate(sfas_like(200, 0.85, 8)))
+    # the deadline strikes mid-race: HiGHS is still open after 30 s here, and
+    # the promotion starts reach 298 under a root bound of 300
+    slow = _pipeline_model(generate(sfas_like(300, 0.85, 7)))
     outcome = solve(slow, SolveOptions(time_limit=1.0))
     assert outcome.status is SolveStatus.FEASIBLE_TIMEOUT
     _assert_no_child()
@@ -708,7 +815,7 @@ def test_race_in_a_host_that_reaps_children(monkeypatch):
     previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
         answered = solve(_bound_limited_model(), SolveOptions(time_limit=30.0))
-        slow = _pipeline_model(generate(sfas_like(200, 0.85, 8)))
+        slow = _pipeline_model(generate(sfas_like(300, 0.85, 7)))
         cut = solve(slow, SolveOptions(time_limit=1.0))
     finally:
         signal.signal(signal.SIGCHLD, previous)
@@ -744,6 +851,17 @@ def test_race_forks_from_a_process_without_threads():
     )
     result = _fresh_interpreter(code, "-W", "always::DeprecationWarning")
     assert (result.returncode, result.stderr, result.stdout) == (0, "", "OPTIMAL\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's /proc")
+def test_test_process_forks_without_threads():
+    # This module imports scipy.optimize, and so numpy; conftest limits
+    # OpenBLAS to one thread first, so the race tests fork a process that
+    # has no other threads.
+    assert "scipy.optimize" in sys.modules
+    with open("/proc/self/status") as status:
+        threads = next(line.split()[1] for line in status if line.startswith("Threads:"))
+    assert threads == "1"
 
 
 # Instances beyond the oracle's reach whose root leaves a gap, so that with

@@ -4,15 +4,15 @@ The solver's own process never imports numpy or scipy: importing
 `scipy.optimize.milp` raises a process's resident memory from about 15 to
 about 77 MB. `start` forks a child that points its standard output and
 error at the null device, only then imports them, and maximizes the
-matched residents over the model's rows plus one objective-range row,
-`lo <= sum(x) <= hi`, with a zero relative gap. It writes one line to a
-pipe, `Optimal` and the columns at 1, `Infeasible`, or `Failed` for any
-other result, and always leaves by `os._exit`. A child that raises writes
-nothing, and an empty answer reads as `Failed`.
+matched residents over the model's rows, exactly as built, with a zero
+relative gap. It writes one line to a pipe, `Optimal` and the columns at
+1, or `Failed` for any other result, and always leaves by `os._exit`. A
+child that raises writes nothing, and an empty answer reads as `Failed`.
 
 `poll` reads the answer without blocking; `close` kills the child and
-reaps it, unless the host process has reaped it already. Without `os.fork`, or when the pipe or the fork fails, `start`
-returns a child that has already answered `Failed`.
+reaps it, unless the host process has reaped it already. Without
+`os.fork`, or when the pipe or the fork fails, `start` returns a child
+that has already answered `Failed`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from .ip_model import IpModel
 
 OPTIMAL = "Optimal"
-INFEASIBLE = "Infeasible"
 FAILED = "Failed"
 
 Answer = tuple[str, tuple[int, ...]]  # status, and with Optimal the columns at 1
@@ -39,8 +38,8 @@ class Child:
     answer: Answer | None = None
 
 
-def start(model: IpModel, lo: int, hi: int, seconds: float) -> Child:
-    """Fork a child that solves the model with `lo <= sum(x) <= hi` within `seconds`."""
+def start(model: IpModel, seconds: float) -> Child:
+    """Fork a child that solves the model within `seconds`."""
     deadline = time.monotonic() + seconds
     if not hasattr(os, "fork"):
         return Child(-1, -1, (FAILED, ()))
@@ -59,7 +58,7 @@ def start(model: IpModel, lo: int, hi: int, seconds: float) -> Child:
             os.dup2(devnull, 1)
             os.dup2(devnull, 2)
             with os.fdopen(write_fd, "w") as pipe:
-                pipe.write(_solve(model, lo, hi, deadline))
+                pipe.write(_solve(model, deadline))
         finally:
             os._exit(0)
     os.close(write_fd)
@@ -94,8 +93,8 @@ def close(child: Child) -> None:
         child.fd = -1
 
 
-def _solve(model: IpModel, lo: int, hi: int, deadline: float) -> str:
-    """Run in the child: the answer line for the model and the range row."""
+def _solve(model: IpModel, deadline: float) -> str:
+    """Run in the child: the answer line for the model."""
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csr_matrix
@@ -104,29 +103,24 @@ def _solve(model: IpModel, lo: int, hi: int, deadline: float) -> str:
     data: list[int] = []
     indices: list[int] = []
     indptr = [0]
-    upper: list[float] = []
+    upper: list[int] = []
     for row in model.constraints:
         for col, coeff in row.coefficients:
             indices.append(col)
             data.append(coeff)
         indptr.append(len(indices))
         upper.append(row.rhs)
-    lower = [-np.inf] * len(upper) + [lo]
-    upper.append(hi)
-    data += [1] * n
-    indices += range(n)
-    indptr.append(len(indices))
     matrix = csr_matrix((data, indices, indptr), shape=(len(upper), n))
     seconds = deadline - time.monotonic()
     if seconds <= 0:
         return FAILED
     result = milp(
         c=-np.ones(n),
-        constraints=LinearConstraint(matrix, lower, upper),
+        constraints=LinearConstraint(matrix, -np.inf, upper),
         integrality=np.ones(n),
         bounds=Bounds(0, 1),
         options={"time_limit": seconds, "mip_rel_gap": 0},
     )
     if result.status == 0:
         return " ".join([OPTIMAL, *map(str, np.flatnonzero(result.x > 0.5))])
-    return INFEASIBLE if result.status == 2 else FAILED
+    return FAILED

@@ -10,9 +10,9 @@ either side.
 The rows, all with integer coefficients and sense <=, are derived from the
 index each time `IpModel.constraints` is read, in this order:
 
-* resident rows: each resident takes at most one hospital;
-* capacity rows: each hospital stays within its post count;
-* stability rows, one per acceptable pair (i, j): writing S for the
+* resident rows `res_i`: each resident takes at most one hospital;
+* capacity rows `cap_j`: each hospital stays within its post count;
+* stability rows `stab_i_j`, one per acceptable pair (i, j): writing S for the
   prefix of i's columns through j's tie and T for the prefix of j's
   columns through i's tie,
 
@@ -50,8 +50,6 @@ class LinearConstraint:
     name: str
     coefficients: tuple[tuple[int, int], ...]  # (column, coefficient)
     rhs: int
-    kind: str  # "resident" | "capacity" | "stability"
-    pair: tuple[int, int] | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,11 +71,11 @@ class IpModel:
         """Every row, derived from the pair index on each read."""
         instance = self.instance
         rows = [
-            LinearConstraint(f"res_{i}", _unit_terms(cols), 1, "resident")
+            LinearConstraint(f"res_{i}", _unit_terms(cols), 1)
             for i, cols in enumerate(self.res_columns, start=1)
         ]
         rows += [
-            LinearConstraint(f"cap_{j}", _unit_terms(cols), instance.capacity(j), "capacity")
+            LinearConstraint(f"cap_{j}", _unit_terms(cols), instance.capacity(j))
             for j, cols in enumerate(self.hosp_columns, start=1)
         ]
         for v in self.variables:
@@ -90,7 +88,7 @@ class IpModel:
             for col in _through_tie(self.hosp_columns[j - 1], self.hosp_rank, v.column):
                 coeff[col] = coeff.get(col, 0) - 1
             terms = tuple(sorted(coeff.items()))
-            rows.append(LinearConstraint(f"stab_{i}_{j}", terms, -cap, "stability", (i, j)))
+            rows.append(LinearConstraint(f"stab_{i}_{j}", terms, -cap))
         return tuple(rows)
 
     def encode(self, matching: Matching) -> list[int]:

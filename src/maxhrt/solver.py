@@ -39,22 +39,20 @@
    overfull hospitals cleared) and then augments only the residents left
    unplaced, so the bound is exact integral arithmetic throughout.
 4. **Race.** A search still open after ESCALATE_AFTER_NODES nodes forks a
-   child that runs HiGHS on the model plus the paper's objective-range
-   row, incumbent + 1 <= sum(x) <= root bound, within the time left (see
+   child that runs HiGHS on the model's rows within the time left (see
    `highs`). The child spends most of a second importing scipy, so the
    parent first goes on with the next promotion seeds, up to RACE_TRIES
    in all, until one meets the root bound, the deadline passes, or the
-   child answers Optimal or Infeasible. The search then goes on and polls
-   the child at each deadline check; whichever finishes first wins. A
-   HiGHS optimum becomes the incumbent only through `core.certify`, and
-   an infeasible range proves the incumbent optimal, unless the incumbent
-   has meanwhile grown into that range: then HiGHS contradicts a certified
-   matching, and the solve raises `SolverInternalError`. Any other answer
-   (or a host without scipy or `os.fork`) leaves the search to run as it
-   would alone. The child is killed and reaped before the solve returns,
-   on every path. Such a proof rests on HiGHS's floating-point tolerances
-   rather than the search's integral bound, and past the threshold the
-   returned matching and node count depend on which side finishes first.
+   child answers Optimal. The search then goes on and polls the child at
+   each deadline check; whichever finishes first wins. A HiGHS optimum
+   becomes the incumbent only through `core.certify`; one below the
+   incumbent contradicts a certified matching, and the solve raises
+   `SolverInternalError`. Any other answer (or a host without scipy or
+   `os.fork`) leaves the search to run as it would alone. The child is
+   killed and reaped before the solve returns, on every path. Such a
+   proof rests on HiGHS's floating-point tolerances rather than the
+   search's integral bound, and past the threshold the returned matching
+   and node count depend on which side finishes first.
 
 The search reads the model's pair index (each agent's columns best first,
 and each pair's ranks) and never the model's rows; only the HiGHS child
@@ -173,7 +171,6 @@ class _Search:
         # finding meet in the middle, and the next bound repairs it
         self.guide = [-1] * self.n1
         self.child: highs.Child | None = None  # the HiGHS race, once started
-        self.race_floor = 0  # the child's range starts here: old incumbent + 1
         # promotion starts: the seed -> matching function, built at the first try
         self.promote: Callable[[int], Matching] | None = None
         self.next_seed = 0
@@ -475,11 +472,11 @@ class _Search:
     # -- main loop ----------------------------------------------------------
 
     def _child_decides(self) -> bool:
-        """Whether the HiGHS child has answered Optimal or Infeasible."""
+        """Whether the HiGHS child has answered Optimal."""
         if self.child is None:
             return False
         answer = highs.poll(self.child)
-        return answer is not None and answer[0] != highs.FAILED
+        return answer is not None and answer[0] == highs.OPTIMAL
 
     def _race(self, root_bound: int, deadline: float) -> bool:
         """Start the HiGHS child, or read its answer; True once the incumbent is proved.
@@ -488,27 +485,16 @@ class _Search:
         scipy, so the parent tries more promotion starts first.
         """
         if self.child is None:
-            self.race_floor = self.incumbent_size + 1
-            self.child = highs.start(
-                self.model, self.race_floor, root_bound, deadline - time.monotonic()
-            )
+            self.child = highs.start(self.model, deadline - time.monotonic())
             self._try_seeds(root_bound, deadline, RACE_TRIES)
             if self.incumbent_size >= root_bound:
                 return True
         answer = highs.poll(self.child)
-        if answer is None:
-            return False
-        status, columns = answer
-        if status == highs.INFEASIBLE and self.incumbent_size >= self.race_floor:
-            raise SolverInternalError(
-                f"HiGHS found no matching of size {self.race_floor} to {root_bound},"
-                f" but the incumbent has {self.incumbent_size}"
-            )
-        if status != highs.OPTIMAL:
-            return status == highs.INFEASIBLE  # no better matching in the range
+        if answer is None or answer[0] != highs.OPTIMAL:
+            return False  # still working, or Failed: the search goes on alone
         variables = self.model.variables
         matching = Matching.from_pairs(
-            (variables[c].resident, variables[c].hospital) for c in columns
+            (variables[c].resident, variables[c].hospital) for c in answer[1]
         )
         if len(matching) < self.incumbent_size:
             raise SolverInternalError(f"HiGHS optimum {len(matching)} is below the incumbent")

@@ -37,6 +37,11 @@ def is_feasible(model, vector):
     return not any(violated_by(row, vector) for row in model.constraints)
 
 
+def kind_of(row):
+    """A row's kind, read off its name: res_i, cap_j or stab_i_j."""
+    return {"res": "resident", "cap": "capacity", "stab": "stability"}[row.name.split("_")[0]]
+
+
 def reference_rows(instance, ranks):
     """Every row built eagerly, each stability row by filtering on ranks."""
     pairs = instance.acceptable_pairs()
@@ -46,13 +51,11 @@ def reference_rows(instance, ranks):
         res_columns[i - 1].append(col)
         hosp_columns[j - 1].append(col)
     rows = [
-        LinearConstraint(f"res_{i}", tuple((col, 1) for col in cols), 1, "resident")
+        LinearConstraint(f"res_{i}", tuple((col, 1) for col in cols), 1)
         for i, cols in enumerate(res_columns, start=1)
     ]
     rows += [
-        LinearConstraint(
-            f"cap_{j}", tuple((col, 1) for col in cols), instance.capacity(j), "capacity"
-        )
+        LinearConstraint(f"cap_{j}", tuple((col, 1) for col in cols), instance.capacity(j))
         for j, cols in enumerate(hosp_columns, start=1)
     ]
     for i, j in pairs:
@@ -67,11 +70,7 @@ def reference_rows(instance, ranks):
             p = pairs[col][0]
             if ranks.hospital_rank(j, p) <= ranks.hospital_rank(j, i):
                 coeff[col] = coeff.get(col, 0) - 1
-        rows.append(
-            LinearConstraint(
-                f"stab_{i}_{j}", tuple(sorted(coeff.items())), -cap, "stability", (i, j)
-            )
-        )
+        rows.append(LinearConstraint(f"stab_{i}_{j}", tuple(sorted(coeff.items())), -cap))
     return rows
 
 
@@ -102,7 +101,7 @@ def test_fig1_model_shape(fig1):
     model = _model(fig1)
     assert model.num_variables == 10
     assert len(model.constraints) == 19
-    kinds = [c.kind for c in model.constraints]
+    kinds = [kind_of(c) for c in model.constraints]
     assert kinds.count("resident") == 6
     assert kinds.count("capacity") == 3
     assert kinds.count("stability") == 10
@@ -111,7 +110,7 @@ def test_fig1_model_shape(fig1):
 def test_single_pair_forces_match(single_pair):
     model = _model(single_pair)
     assert model.num_variables == 1
-    stab = [c for c in model.constraints if c.kind == "stability"]
+    stab = [c for c in model.constraints if kind_of(c) == "stability"]
     assert stab[0].coefficients == ((0, -2),)
     assert stab[0].rhs == -1
     assert not is_feasible(model, [0])
@@ -122,7 +121,7 @@ def test_fig1_stability_row_r4_h2(fig1):
     # folded row for (r4, h2): hospitals r4 weakly prefers to h2 = {h2};
     # residents h2 weakly prefers to r4 = {r1, r6, r4, r5} (ties included)
     model = _model(fig1)
-    row = next(c for c in model.constraints if c.pair == (4, 2))
+    row = next(c for c in model.constraints if c.name == "stab_4_2")
     by_pair = {
         (model.variables[col].resident, model.variables[col].hospital): c
         for col, c in row.coefficients
@@ -157,7 +156,7 @@ def test_all_zero_violates_some_stability_row(fig1):
     model = _model(fig1)
     zero = [0] * model.num_variables
     violated = [c for c in model.constraints if violated_by(c, zero)]
-    assert violated and all(c.kind == "stability" for c in violated)
+    assert violated and all(kind_of(c) == "stability" for c in violated)
 
 
 def test_m1_indicator_feasible(fig1):

@@ -592,11 +592,20 @@ def test_primal_phase_tries(config, root_tries, monkeypatch):
     assert calls == list(range(RACE_TRIES))
 
 
+def _optimal_answer(model, matching):
+    """A child's Optimal answer: the columns of `matching`."""
+    return highs.OPTIMAL, tuple(c for c, x in enumerate(model.encode(matching)) if x)
+
+
 def test_a_deciding_child_stops_the_tries(monkeypatch):
-    search = _Search(_pipeline_model(generate(sfas_like(150, 0.5, 7))), SolveOptions())
-    monkeypatch.setattr(highs, "start", lambda *args: highs.Child(-1, -1, (highs.INFEASIBLE, ())))
+    model = _pipeline_model(generate(sfas_like(150, 0.5, 7)))
+    warm = warm_start(model.instance)
+    answer = _optimal_answer(model, warm)
+    search = _Search(model, SolveOptions())
+    monkeypatch.setattr(highs, "start", lambda *args: highs.Child(-1, -1, answer))
     assert search._race(search.n1 + 1, time.monotonic() + 60.0)
     assert search.next_seed == 0
+    assert search.incumbent == warm
 
 
 # Instances whose optimum is the root bound, where the search alone and
@@ -669,23 +678,21 @@ def _answer(child, seconds=30.0):
     return answer
 
 
-@pytest.mark.parametrize("lo, status", [(100, highs.INFEASIBLE), (99, highs.OPTIMAL)])
-def test_highs_child_answers_on_the_range(lo, status):
+def test_highs_child_answers_optimal():
     model = _bound_limited_model()
-    child = highs.start(model, lo, 100, 30.0)
+    child = highs.start(model, 30.0)
     try:
         answer = _answer(child)
     finally:
         highs.close(child)
     _assert_no_child()
-    assert answer is not None and answer[0] == status
-    if status == highs.OPTIMAL:
-        variables = model.variables
-        matching = Matching.from_pairs(
-            (variables[c].resident, variables[c].hospital) for c in answer[1]
-        )
-        assert len(matching) == 99
-        assert certify(model.instance, build_rank_table(model.instance), matching) is None
+    assert answer is not None and answer[0] == highs.OPTIMAL
+    variables = model.variables
+    matching = Matching.from_pairs(
+        (variables[c].resident, variables[c].hospital) for c in answer[1]
+    )
+    assert len(matching) == 99
+    assert certify(model.instance, build_rank_table(model.instance), matching) is None
 
 
 def test_race_proves_what_the_search_alone_cannot():
@@ -717,9 +724,10 @@ def test_race_rejects_an_unstable_highs_optimum(monkeypatch):
 
 def _answer_once_improved(monkeypatch, answer_for):
     """Make the race's child answer `answer_for(matching)` once a promotion
-    start at the fork has certified a matching in the child's range.
+    start at the fork has certified a matching above the root's incumbent.
 
-    Returns the certified matchings, in order, and the range's lower end.
+    Returns the certified matchings, in order, and how many of them were
+    certified before the fork.
     """
     adopted = []
     adopt = _Search._adopt
@@ -728,14 +736,15 @@ def _answer_once_improved(monkeypatch, answer_for):
         adopt(search, matching, source)
         adopted.append(matching)
 
-    floor = []
+    at_fork = []
 
-    def start(model, lo, hi, seconds):
-        floor.append(lo)
+    def start(model, seconds):
+        at_fork.append(len(adopted))
         return highs.Child(-1, -1)
 
     def poll(child):
-        if child.answer is None and adopted and len(adopted[-1]) >= floor[0]:
+        # every matching the search certifies before HiGHS's beats the last
+        if child.answer is None and len(adopted) > at_fork[0]:
             child.answer = answer_for(adopted[-1])
         return child.answer
 
@@ -743,28 +752,28 @@ def _answer_once_improved(monkeypatch, answer_for):
     monkeypatch.setattr(highs, "start", start)
     monkeypatch.setattr(highs, "poll", poll)
     monkeypatch.setattr("maxhrt.solver.ESCALATE_AFTER_NODES", 1)
-    return adopted, floor
+    return adopted, at_fork
 
 
 # (200, 0.85, 7): the root's one try leaves 194 under a root bound of 200, and
 # the tries at the fork raise it to 196 (optimum 197).
-def test_race_rejects_an_infeasible_range_that_holds_the_incumbent(monkeypatch):
-    _answer_once_improved(monkeypatch, lambda matching: (highs.INFEASIBLE, ()))
-    model = _pipeline_model(generate(sfas_like(200, 0.85, 7)))
-    with pytest.raises(SolverInternalError, match="HiGHS found no matching of size"):
-        solve(model, SolveOptions(time_limit=60.0))
-
-
 def test_race_accepts_a_highs_optimum_equal_to_the_improved_incumbent(monkeypatch):
-    def optimal(matching):
-        return highs.OPTIMAL, tuple(c for c, x in enumerate(model.encode(matching)) if x)
-
-    adopted, floor = _answer_once_improved(monkeypatch, optimal)
     model = _pipeline_model(generate(sfas_like(200, 0.85, 7)))
+    adopted, at_fork = _answer_once_improved(monkeypatch, lambda m: _optimal_answer(model, m))
     outcome = solve(model, SolveOptions(time_limit=60.0))
     assert outcome.status is SolveStatus.OPTIMAL
     assert outcome.matching == adopted[-1] == adopted[-2]  # the try's, then HiGHS's
-    assert outcome.objective == outcome.proof_bound >= floor[0]
+    assert len(adopted) == at_fork[0] + 2
+    assert outcome.objective == outcome.proof_bound == len(adopted[-1])
+
+
+def test_race_rejects_a_highs_optimum_below_the_incumbent(monkeypatch):
+    # the child's matching is certified, but smaller than one the search holds
+    model = _pipeline_model(generate(sfas_like(200, 0.85, 7)))
+    warm = warm_start(model.instance)
+    _answer_once_improved(monkeypatch, lambda matching: _optimal_answer(model, warm))
+    with pytest.raises(SolverInternalError, match="HiGHS optimum 1.. is below the incumbent"):
+        solve(model, SolveOptions(time_limit=60.0))
 
 
 def test_race_without_scipy_runs_as_the_search_alone(monkeypatch):
@@ -773,7 +782,7 @@ def test_race_without_scipy_runs_as_the_search_alone(monkeypatch):
     alone = solve(model, SolveOptions(time_limit=1.0))
     monkeypatch.setattr("maxhrt.solver.ESCALATE_AFTER_NODES", 1)
     monkeypatch.setitem(sys.modules, "scipy.optimize", None)  # the child's import fails
-    child = highs.start(model, 100, 100, 30.0)
+    child = highs.start(model, 30.0)
     try:
         assert _answer(child) == (highs.FAILED, ())
     finally:

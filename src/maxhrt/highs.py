@@ -4,10 +4,16 @@ The solver's own process never imports numpy or scipy: importing
 `scipy.optimize.milp` raises a process's resident memory from about 15 to
 about 77 MB. `start` forks a child that points its standard output and
 error at the null device, only then imports them, and maximizes the
-matched residents over the model's rows, exactly as built, with a zero
-relative gap. It writes one line to a pipe, `Optimal` and the columns at
-1, or `Failed` for any other result, and always leaves by `os._exit`. A
-child that raises writes nothing, and an empty answer reads as `Failed`.
+matched residents with a zero relative gap. It does not read the model's
+rows: `tie_count_rows` builds the tie-count form of the same model from
+the pair index (Delorme et al., EJOR 2019), in which each hospital's
+prefix through a tie is one continuous column. The paper's stability row
+sums that prefix term by term, so its rows average about 40 nonzeros; the
+tie-count rows have a fifth to a quarter of the nonzeros in all, and
+HiGHS proves the pools' bound-limited instances 3-7 times sooner. The
+child writes one line to a pipe, `Optimal` and the pair columns at 1, or
+`Failed` for any other result, and always leaves by `os._exit`. A child
+that raises writes nothing, and an empty answer reads as `Failed`.
 
 `poll` reads the answer without blocking; `close` kills the child and
 reaps it, unless the host process has reaped it already. Without
@@ -17,13 +23,15 @@ that has already answered `Failed`.
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
 import select
 import signal
 import time
 from dataclasses import dataclass
 
-from .ip_model import IpModel
+from .ip_model import IpModel, through_tie
 
 OPTIMAL = "Optimal"
 FAILED = "Failed"
@@ -93,34 +101,70 @@ def close(child: Child) -> None:
         child.fd = -1
 
 
+Row = tuple[tuple[tuple[int, int], ...], float, float]  # (column, coefficient) terms, lower, upper
+
+
+def tie_count_rows(model: IpModel) -> tuple[int, list[Row]]:
+    """The model in tie-count form, built from its pair index: columns and rows.
+
+    Columns 0 to n - 1 are the pairs. After them each hospital j has one
+    column y_{j,t} >= 0 per tie t of its list, and a row
+    y_{j,t} - y_{j,t-1} - sum of the tie's pairs = 0 makes it count j's
+    assignees in ties 1 to t; a row y_{j,last} <= c_j bounds them. Each
+    pair (i, j) with c_j > 0 has the stability row
+    -c_j * (sum of i's pairs through j's tie) - y_{j,tie of i} <= -c_j.
+    So each hospital prefix of the paper's stability rows is one column.
+    """
+    rows: list[Row] = [
+        (tuple((col, 1) for col in cols), -math.inf, 1) for cols in model.res_columns
+    ]
+    count_of = [0] * model.num_variables  # a pair's y: its hospital's count through its tie
+    columns = model.num_variables
+    for j, cols in enumerate(model.hosp_columns, start=1):
+        previous: tuple[tuple[int, int], ...] = ()  # the term -y_{j,t-1}, once t > 1
+        for _, tie in itertools.groupby(cols, key=model.hosp_rank.__getitem__):
+            terms = [(columns, 1), *previous]
+            for col in tie:
+                terms.append((col, -1))
+                count_of[col] = columns
+            rows.append((tuple(terms), 0, 0))
+            previous = ((columns, -1),)
+            columns += 1
+        if previous:
+            rows.append((((columns - 1, 1),), -math.inf, model.instance.capacity(j)))
+    for v in model.variables:
+        cap = model.instance.capacity(v.hospital)
+        if cap > 0:
+            prefix = through_tie(model.res_columns[v.resident - 1], model.res_rank, v.column)
+            terms = [(col, -cap) for col in prefix]
+            rows.append((tuple(terms) + ((count_of[v.column], -1),), -math.inf, -cap))
+    return columns, rows
+
+
 def _solve(model: IpModel, deadline: float) -> str:
-    """Run in the child: the answer line for the model."""
+    """Run in the child: the answer line for the model, solved in tie-count form."""
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csr_matrix
 
     n = model.num_variables
-    data: list[int] = []
-    indices: list[int] = []
-    indptr = [0]
-    upper: list[int] = []
-    for row in model.constraints:
-        for col, coeff in row.coefficients:
-            indices.append(col)
-            data.append(coeff)
-        indptr.append(len(indices))
-        upper.append(row.rhs)
-    matrix = csr_matrix((data, indices, indptr), shape=(len(upper), n))
+    columns, rows = tie_count_rows(model)
+    terms = [term for row_terms, _, _ in rows for term in row_terms]
+    indptr = np.cumsum([0] + [len(row_terms) for row_terms, _, _ in rows])
+    matrix = csr_matrix(
+        ([c for _, c in terms], [col for col, _ in terms], indptr), shape=(len(rows), columns)
+    )
+    is_pair = (np.arange(columns) < n).astype(float)
     seconds = deadline - time.monotonic()
     if seconds <= 0:
         return FAILED
     result = milp(
-        c=-np.ones(n),
-        constraints=LinearConstraint(matrix, -np.inf, upper),
-        integrality=np.ones(n),
-        bounds=Bounds(0, 1),
+        c=-is_pair,
+        constraints=LinearConstraint(matrix, [lo for _, lo, _ in rows], [hi for _, _, hi in rows]),
+        integrality=is_pair,
+        bounds=Bounds(0, np.where(is_pair, 1, np.inf)),
         options={"time_limit": seconds, "mip_rel_gap": 0},
     )
     if result.status == 0:
-        return " ".join([OPTIMAL, *map(str, np.flatnonzero(result.x > 0.5))])
+        return " ".join([OPTIMAL, *map(str, np.flatnonzero(result.x[:n] > 0.5))])
     return FAILED

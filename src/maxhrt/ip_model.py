@@ -25,6 +25,14 @@ index each time `IpModel.constraints` is read, in this order:
 
 A 0/1 point is feasible exactly when it is the indicator vector of a
 weakly stable matching.
+
+In the program only `export_lp` reads the rows; the benchmark takes the
+model's row and nonzero counts from them. The solver's search reads the
+pair index, and so does its HiGHS child, which builds the sparser
+tie-count form of the same model from it (`highs.tie_count_rows`): a
+stability row here sums the hospital's whole prefix through the
+resident's tie, and the child replaces each such prefix with one
+cumulative column per tie.
 """
 
 from __future__ import annotations
@@ -83,9 +91,9 @@ class IpModel:
             cap = instance.capacity(j)
             coeff: dict[int, int] = {}
             if cap > 0:
-                for col in _through_tie(self.res_columns[i - 1], self.res_rank, v.column):
+                for col in through_tie(self.res_columns[i - 1], self.res_rank, v.column):
                     coeff[col] = -cap
-            for col in _through_tie(self.hosp_columns[j - 1], self.hosp_rank, v.column):
+            for col in through_tie(self.hosp_columns[j - 1], self.hosp_rank, v.column):
                 coeff[col] = coeff.get(col, 0) - 1
             terms = tuple(sorted(coeff.items()))
             rows.append(LinearConstraint(f"stab_{i}_{j}", terms, -cap))
@@ -106,7 +114,7 @@ def _unit_terms(columns: Sequence[int]) -> tuple[tuple[int, int], ...]:
     return tuple((col, 1) for col in sorted(columns))
 
 
-def _through_tie(columns: Sequence[int], rank: Sequence[int], column: int) -> Iterator[int]:
+def through_tie(columns: Sequence[int], rank: Sequence[int], column: int) -> Iterator[int]:
     """The prefix of a best-first column list that ends with `column`'s tie."""
     limit = rank[column]
     return itertools.takewhile(lambda col: rank[col] <= limit, columns)

@@ -39,14 +39,17 @@
    overfull hospitals cleared) and then augments only the residents left
    unplaced, so the bound is exact integral arithmetic throughout.
 4. **Race.** A search still open after ESCALATE_AFTER_NODES nodes forks a
-   child that runs HiGHS on the model's rows within the time left (see
-   `highs`). The child spends most of a second importing scipy, so the
-   parent first goes on with the next promotion seeds, up to RACE_TRIES
-   in all, until one meets the root bound, the deadline passes, or the
-   child answers Optimal. The search then goes on and polls the child at
-   each deadline check; whichever finishes first wins. A HiGHS optimum
-   becomes the incumbent only through `core.certify`; one below the
-   incumbent contradicts a certified matching, and the solve raises
+   child that runs HiGHS within the time left (see `highs`). The child
+   builds the model's tie-count form from the pair index, with one
+   cumulative column per hospital tie in place of the paper's hospital
+   prefixes, because HiGHS solves it several times faster. The child
+   spends most of a second importing scipy, so the parent first goes on
+   with the next promotion seeds, up to RACE_TRIES in all, until one
+   meets the root bound, the deadline passes, or the child answers
+   Optimal. The search then goes on and polls the child at each deadline
+   check; whichever finishes first wins. A HiGHS optimum becomes the
+   incumbent only through `core.certify`; one below the incumbent
+   contradicts a certified matching, and the solve raises
    `SolverInternalError`. Any other answer (or a host without scipy or
    `os.fork`) leaves the search to run as it would alone. The child is
    killed and reaped before the solve returns, on every path. Such a
@@ -54,9 +57,8 @@
    search's integral bound, and past the threshold the returned matching
    and node count depend on which side finishes first.
 
-The search reads the model's pair index (each agent's columns best first,
-and each pair's ranks) and never the model's rows; only the HiGHS child
-does.
+The search and the HiGHS child read the model's pair index (each agent's
+columns best first, and each pair's ranks) and never the model's rows.
 
 Every matching that becomes the incumbent (warm start, promotion start,
 search leaf or HiGHS optimum) passes `core.certify` against the model's instance.

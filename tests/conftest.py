@@ -1,4 +1,5 @@
-"""Shared fixtures: the six-resident example instance and its known matchings.
+"""Shared fixtures: the six-resident example instance and its known matchings,
+and the test of a point against one of the model's rows.
 
 FIG1_TEXT deliberately contains a one-sided entry (h2 lists r2 while r2 does
 not list h2) to exercise mutuality pruning. After pruning the instance has
@@ -39,6 +40,11 @@ h1: 1: r1
 # The two stable matchings of the example instance, of sizes 5 and 6.
 M0_PAIRS = [(1, 1), (2, 1), (3, 3), (5, 2), (6, 2)]
 M1_PAIRS = [(1, 1), (2, 1), (3, 3), (4, 2), (5, 3), (6, 2)]
+
+
+def violated_by(row, vector):
+    """Whether the 0/1 point breaks the row."""
+    return sum(c * vector[col] for col, c in row.coefficients) > row.rhs
 
 
 @pytest.fixture(scope="session")

@@ -14,18 +14,13 @@ from maxhrt.instance_io import parse_instance
 from maxhrt.ip_model import LinearConstraint, build_model, export_lp
 from maxhrt.generator import GeneratorConfig, generate
 
-from conftest import M1_PAIRS
+from conftest import M1_PAIRS, violated_by
 from oracle import OracleLimit, enumerate_stable_matchings, max_stable_size
 from strategies import instances_strategy
 
 
 def _model(instance):
     return build_model(instance, build_rank_table(instance))
-
-
-def violated_by(row, vector):
-    """Whether the 0/1 point breaks the row."""
-    return sum(c * vector[col] for col, c in row.coefficients) > row.rhs
 
 
 def is_feasible(model, vector):

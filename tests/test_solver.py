@@ -540,19 +540,32 @@ def test_upper_bound_rejects_bad_fixing(fig1):
 
 
 def test_solve_never_reads_rows(fig1, monkeypatch):
-    # the search works from the pair index alone; the rows are for export and
-    # for the HiGHS child, which (150, 0.5, 2) starts: the child inherits the
-    # raising property, fails, and leaves the search to finish the proof
-    cases = [(_model(fig1), 6), (_pipeline_model(generate(sfas_like(150, 0.5, 2))), 146)]
+    # The search works from the pair index alone, and so does the HiGHS child,
+    # which builds its tie-count rows from the index; the rows are for export.
+    # fig1 is proved at the root. (150, 0.5, 2) starts the child, and the
+    # search mostly finishes first; on (100, 0.85, 7) the child's optimum
+    # proves the incumbent. Every answer the child gives is Optimal.
+    cases = [(_model(fig1), 6), (_pipeline_model(generate(sfas_like(150, 0.5, 2))), 146),
+             (_bound_limited_model(), 99)]
+    answers = []
+    poll = highs.poll
+
+    def recording_poll(child):
+        answer = poll(child)
+        if answer is not None:
+            answers.append(answer[0])
+        return answer
 
     def no_rows(model):
         raise AssertionError("solve read the model's rows")
 
     monkeypatch.setattr(IpModel, "constraints", property(no_rows))
+    monkeypatch.setattr(highs, "poll", recording_poll)
     for model, optimum in cases:
         outcome = solve(model, SolveOptions(time_limit=60.0))
         assert outcome.status is SolveStatus.OPTIMAL
         assert outcome.objective == optimum
+    assert answers and set(answers) == {highs.OPTIMAL}
 
 
 def _failed_child(*args):
@@ -679,20 +692,23 @@ def _answer(child, seconds=30.0):
 
 
 def test_highs_child_answers_optimal():
-    model = _bound_limited_model()
-    child = highs.start(model, 30.0)
-    try:
-        answer = _answer(child)
-    finally:
-        highs.close(child)
-    _assert_no_child()
-    assert answer is not None and answer[0] == highs.OPTIMAL
-    variables = model.variables
-    matching = Matching.from_pairs(
-        (variables[c].resident, variables[c].hospital) for c in answer[1]
-    )
-    assert len(matching) == 99
-    assert certify(model.instance, build_rank_table(model.instance), matching) is None
+    # The child builds its model from the pair index, not from the rows that
+    # highs_optimum reads. 197 is the optimum perfbench/reference.json stores.
+    for config, optimum in ((sfas_like(100, 0.85, 7), 99), (sfas_like(200, 0.85, 7), 197)):
+        model = _pipeline_model(generate(config))
+        child = highs.start(model, 30.0)
+        try:
+            answer = _answer(child)
+        finally:
+            highs.close(child)
+        _assert_no_child()
+        assert answer is not None and answer[0] == highs.OPTIMAL
+        variables = model.variables
+        matching = Matching.from_pairs(
+            (variables[c].resident, variables[c].hospital) for c in answer[1]
+        )
+        assert len(matching) == optimum
+        assert certify(model.instance, build_rank_table(model.instance), matching) is None
 
 
 def test_race_proves_what_the_search_alone_cannot():

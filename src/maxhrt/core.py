@@ -225,48 +225,24 @@ class Matching:
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # "capacity" | "acceptability" | "duplicate" | "range"
     message: str
 
 
-def validate_matching(
-    instance: Instance, matching: Matching | Iterable[tuple[int, int]]
-) -> list[Violation]:
-    """Check matching invariants; one violation record per breach.
-
-    Accepts raw (resident, hospital) pairs as well, so duplicate
-    assignments of one resident can be reported rather than collapsed.
-    """
-    pairs: list[tuple[int, int]]
-    if isinstance(matching, Matching):
-        pairs = list(matching.pairs())
-    else:
-        pairs = list(matching)
+def validate_matching(instance: Instance, matching: Matching) -> list[Violation]:
+    """Check matching invariants; one violation record per breach."""
     violations: list[Violation] = []
-    seen: set[int] = set()
     load: dict[int, int] = {}
-    for r, h in pairs:
+    for r, h in matching.pairs():
         if not 1 <= r <= instance.n1 or not 1 <= h <= instance.n2:
-            violations.append(Violation("range", f"pair (r{r}, h{h}) out of range"))
+            violations.append(Violation(f"pair (r{r}, h{h}) out of range"))
             continue
-        if r in seen:
-            violations.append(
-                Violation("duplicate", f"resident r{r} assigned more than once")
-            )
-        seen.add(r)
         if not instance.is_acceptable(r, h):
-            violations.append(
-                Violation("acceptability", f"pair (r{r}, h{h}) is not acceptable")
-            )
+            violations.append(Violation(f"pair (r{r}, h{h}) is not acceptable"))
         load[h] = load.get(h, 0) + 1
     for h, count in sorted(load.items()):
         cap = instance.capacity(h)
         if count > cap:
-            violations.append(
-                Violation(
-                    "capacity", f"hospital h{h} has {count} assignees, capacity {cap}"
-                )
-            )
+            violations.append(Violation(f"hospital h{h} has {count} assignees, capacity {cap}"))
     return violations
 
 

@@ -75,18 +75,18 @@ def test_validate_m1_clean(fig1, m1):
 
 
 def test_validate_capacity_violation(fig1):
-    report = validate_matching(fig1, [(1, 1), (2, 1), (3, 1)])
-    assert [v.kind for v in report] == ["capacity"]
+    report = validate_matching(fig1, Matching({1: 1, 2: 1, 3: 1}))
+    assert [v.message for v in report] == ["hospital h1 has 3 assignees, capacity 2"]
 
 
 def test_validate_acceptability_violation(fig1):
-    report = validate_matching(fig1, [(2, 3)])
-    assert [v.kind for v in report] == ["acceptability"]
+    report = validate_matching(fig1, Matching({2: 3}))
+    assert [v.message for v in report] == ["pair (r2, h3) is not acceptable"]
 
 
-def test_validate_duplicate_assignment(fig1):
-    report = validate_matching(fig1, [(1, 1), (1, 2)])
-    assert any(v.kind == "duplicate" for v in report)
+def test_from_pairs_rejects_resident_assigned_twice():
+    with pytest.raises(ValueError, match="r1 assigned twice"):
+        Matching.from_pairs([(1, 1), (1, 2)])
 
 
 def test_matching_sizes(m0, m1):

@@ -1,21 +1,29 @@
-"""Tie-breaking, deferred-acceptance and promotion warm starts."""
+"""Deferred-acceptance warm starts: tie-broken Gale–Shapley and Király's promotion.
+
+`warm_start` breaks every tie and runs deferred acceptance, so on a strict
+instance it is Gale–Shapley; the `test_gale_shapley_*` tests pin it there.
+`reference_warm_start` builds the tie-broken instance and runs a textbook
+Gale–Shapley on it, the reference for `warm_start` on instances with ties.
+"""
 
 import math
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxhrt.core import (
+    Hospital,
     Instance,
     Matching,
     PreferenceList,
     build_rank_table,
     certify,
 )
-from maxhrt.generator import generate, sfas_like
-from maxhrt.heuristics import break_ties, gale_shapley, promotion_starts, warm_start
+from maxhrt.generator import GeneratorConfig, generate, sfas_like
+from maxhrt.heuristics import promotion_starts, warm_start
 from maxhrt.instance_io import parse_instance
 
 from conftest import FIG1_TEXT
@@ -23,16 +31,55 @@ from oracle import OracleLimit, max_stable_size
 from strategies import carry, instances_strategy, relabel
 
 
-def test_break_ties_identity_on_strict(single_pair):
-    assert break_ties(single_pair) == single_pair
+def reference_break_ties(instance):
+    """The instance with every tie replaced by a shuffle of its members.
+
+    One `random.Random(0)` shuffles each resident tie, residents in index
+    order, and then each hospital tie; the order across ties is kept.
+    """
+    rng = random.Random(0)
+
+    def broken(plist):
+        entries = []
+        for group in plist.groups:
+            group = list(group)
+            if len(group) > 1:
+                rng.shuffle(group)
+            entries.extend(group)
+        return PreferenceList.strict(entries)
+
+    residents = tuple(broken(p) for p in instance.residents)
+    hospitals = tuple(Hospital(h.capacity, broken(h.preferences)) for h in instance.hospitals)
+    return Instance(residents=residents, hospitals=hospitals)
 
 
-def test_break_ties_deterministic(fig1):
-    assert break_ties(fig1) == break_ties(fig1)
+def reference_warm_start(instance):
+    """Textbook Gale–Shapley on the tie-broken instance, the reference for `warm_start`.
+
+    Free residents propose down their lists, first come first served; a
+    hospital holds its best `capacity` proposers so far and rejects the rest.
+    """
+    strict = reference_break_ties(instance)
+    ranks = [h.preferences.ranks() for h in strict.hospitals]
+    next_choice = [0] * strict.n1
+    held = [[] for _ in strict.hospitals]
+    free = deque(range(1, strict.n1 + 1))
+    while free:
+        i = free.popleft()
+        prefs = strict.residents[i - 1].entries()
+        if next_choice[i - 1] == len(prefs):
+            continue
+        j = prefs[next_choice[i - 1]]
+        next_choice[i - 1] += 1
+        held[j - 1].append(i)
+        held[j - 1].sort(key=ranks[j - 1].__getitem__)
+        if len(held[j - 1]) > strict.capacity(j):
+            free.append(held[j - 1].pop())
+    return Matching({i: j for j, hs in enumerate(held, start=1) for i in hs})
 
 
 def test_break_ties_preserves_cross_tie_order(fig1):
-    strict = break_ties(fig1)
+    strict = reference_break_ties(fig1)
     assert all(p.is_strict() for p in strict.residents)
     assert all(h.preferences.is_strict() for h in strict.hospitals)
     entries = strict.hospitals[1].preferences.entries()
@@ -41,16 +88,30 @@ def test_break_ties_preserves_cross_tie_order(fig1):
     assert set(entries[2:]) == {4, 5}
 
 
-def test_gale_shapley_rejects_ties(fig1):
-    with pytest.raises(ValueError):
-        gale_shapley(fig1)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_warm_start_is_reference_with_ties_on_both_sides(data):
+    instance = data.draw(instances_strategy(max_residents=10, max_hospitals=5))
+    assert warm_start(instance) == reference_warm_start(instance)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param(sfas_like(150, 0.5, 7), id="sfas-150-.5-7"),
+        pytest.param(GeneratorConfig(150, 10, 150, 5, 0.3, 0.5, seed=0), id="two-sided-150-0"),
+    ],
+)
+def test_warm_start_is_reference_on_pool_instances(config):
+    instance = generate(config)
+    assert warm_start(instance) == reference_warm_start(instance)
 
 
 def test_gale_shapley_r4_first():
     # tie (r4 r5) broken as r4, r5: deferred acceptance reaches size 6
     strict, _ = parse_instance(FIG1_TEXT.replace("( r4 r5 )", "r4 r5"))
     expected = Matching.from_pairs([(1, 1), (2, 1), (3, 3), (4, 2), (6, 2), (5, 3)])
-    assert gale_shapley(strict) == expected
+    assert warm_start(strict) == expected
 
 
 def test_gale_shapley_r5_first(fig1, m0):
@@ -69,11 +130,11 @@ h3: 2: r5 r3
 """
     strict, warnings = parse_instance(text)
     assert not warnings
-    assert gale_shapley(strict) == m0
+    assert warm_start(strict) == m0
 
 
 def test_gale_shapley_single_pair(single_pair):
-    assert gale_shapley(single_pair) == Matching({1: 1})
+    assert warm_start(single_pair) == Matching({1: 1})
 
 
 def test_warm_start_stable_and_sized_5_or_6(fig1):
@@ -103,7 +164,7 @@ def test_warm_start_always_weakly_stable(data):
 @given(data=st.data())
 def test_gale_shapley_no_blocking_pair_in_strict(data):
     instance = data.draw(instances_strategy(ties=False))
-    matching = gale_shapley(instance)
+    matching = warm_start(instance)
     assert certify(instance, build_rank_table(instance), matching) is None
 
 
@@ -126,7 +187,7 @@ def test_promotion_start_deterministic_given_seed(data, seed):
 @given(data=st.data(), seed=st.integers(0, 2**30))
 def test_promotion_start_is_gale_shapley_on_strict(data, seed):
     instance = data.draw(instances_strategy(ties=False))
-    assert promotion_starts(instance)(seed) == gale_shapley(instance)
+    assert promotion_starts(instance)(seed) == warm_start(instance)
 
 
 @settings(max_examples=60, deadline=None)

@@ -477,7 +477,8 @@ def test_primal_phase_proves_at_root(config, optimum):
 
 
 def test_tight_root_fixings_prove_in_few_nodes():
-    # The primal phase leaves 149 against a root bound of 150; without
+    # The warm start gives 149 against a root bound of 150 (promotion seed 0
+    # gives 148), so this also guards the warm start's output; without
     # fixing pairs from the relaxation's structure, the proof took 6 047 nodes.
     instance = generate(sfas_like(150, 0.5, 7))
     outcome = solve(_pipeline_model(instance), SolveOptions(time_limit=60.0))

@@ -3,7 +3,7 @@
 Residents are numbered 1..n1 and hospitals 1..n2. A preference list is an
 ordered sequence of ties (indifference groups); a strict entry is a tie of
 size one. A pair (resident, hospital) is acceptable when each side lists the
-other; ranks are finite exactly on acceptable pairs.
+other; the rank maps hold exactly the acceptable pairs.
 
 A `PreferenceList` derives its flat entries and its rank map once, when it
 is built, and every later read returns them. `RankTable` shares those rank
@@ -164,20 +164,15 @@ class Instance:
 
 @dataclass(frozen=True)
 class RankTable:
-    """Ranks for both directions of every acceptable pair; INFINITY otherwise.
+    """Ranks for both directions of every acceptable pair, and of no other.
 
+    Pair (i, j) has `resident_ranks[i-1][j]` and `hospital_ranks[j-1][i]`.
     The dicts are the instance's own `PreferenceList.ranks` maps, shared
     and read-only.
     """
 
     resident_ranks: tuple[dict[int, int], ...]
     hospital_ranks: tuple[dict[int, int], ...]
-
-    def resident_rank(self, resident: int, hospital: int) -> float:
-        return self.resident_ranks[resident - 1].get(hospital, INFINITY)
-
-    def hospital_rank(self, hospital: int, resident: int) -> float:
-        return self.hospital_ranks[hospital - 1].get(resident, INFINITY)
 
 
 def build_rank_table(instance: Instance) -> RankTable:
@@ -213,11 +208,6 @@ class Matching:
 
     def __len__(self) -> int:
         return len(self.assignment)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Matching):
-            return NotImplemented
-        return dict(self.assignment) == dict(other.assignment)
 
     def __hash__(self) -> int:
         return hash(frozenset(self.assignment.items()))

@@ -107,8 +107,10 @@ Row = tuple[tuple[tuple[int, int], ...], float, float]  # (column, coefficient) 
 def tie_count_rows(model: IpModel) -> tuple[int, list[Row]]:
     """The model in tie-count form, built from its pair index: columns and rows.
 
-    Columns 0 to n - 1 are the pairs. After them each hospital j has one
-    column y_{j,t} >= 0 per tie t of its list, and a row
+    Columns 0 to n - 1 are the pairs: column c is `model.pairs[c]`, and
+    `res_columns` and `hosp_columns` give each agent's columns best first.
+    After the pairs each hospital j has one column y_{j,t} >= 0 per tie t
+    of its list, and a row
     y_{j,t} - y_{j,t-1} - sum of the tie's pairs = 0 makes it count j's
     assignees in ties 1 to t; a row y_{j,last} <= c_j bounds them. Each
     pair (i, j) with c_j > 0 has the stability row
@@ -132,12 +134,12 @@ def tie_count_rows(model: IpModel) -> tuple[int, list[Row]]:
             columns += 1
         if previous:
             rows.append((((columns - 1, 1),), -math.inf, model.instance.capacity(j)))
-    for v in model.variables:
-        cap = model.instance.capacity(v.hospital)
+    for column, (i, j) in enumerate(model.pairs):
+        cap = model.instance.capacity(j)
         if cap > 0:
-            prefix = through_tie(model.res_columns[v.resident - 1], model.res_rank, v.column)
+            prefix = through_tie(model.res_columns[i - 1], model.res_rank, column)
             terms = [(col, -cap) for col in prefix]
-            rows.append((tuple(terms) + ((count_of[v.column], -1),), -math.inf, -cap))
+            rows.append((tuple(terms) + ((count_of[column], -1),), -math.inf, -cap))
     return columns, rows
 
 

@@ -1,11 +1,11 @@
 """Binary integer model for maximum-cardinality weakly stable matching.
 
-One binary variable (a column) per acceptable pair, numbered in resident
-list order; the objective counts matched residents. `build_model` builds
-one pair index, which the solver reads: `res_columns[i-1]` and
-`hosp_columns[j-1]` hold each agent's columns best first (a tie's members
-in column order), and `res_rank` and `hosp_rank` each column's rank on
-either side.
+One binary variable (a column) per acceptable pair; the objective counts
+matched residents. `build_model` builds one pair index, which the solver
+reads. `pairs[c]` is column c's (resident, hospital), in the order of
+`Instance.acceptable_pairs()`. `res_columns[i-1]` and `hosp_columns[j-1]`
+hold each agent's columns best first (a tie's members in column order),
+and `res_rank` and `hosp_rank` each column's rank on either side.
 
 The rows, all with integer coefficients and sense <=, are derived from the
 index each time `IpModel.constraints` is read, in this order:
@@ -41,14 +41,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .core import Instance, Matching, RankTable
-
-
-@dataclass(frozen=True)
-class IpVariable:
-    resident: int
-    hospital: int
-    column: int
+from .core import Instance, RankTable
 
 
 @dataclass(frozen=True)
@@ -63,8 +56,7 @@ class LinearConstraint:
 @dataclass(frozen=True, eq=False)
 class IpModel:
     instance: Instance
-    variables: tuple[IpVariable, ...]
-    column_of: dict[tuple[int, int], int]
+    pairs: tuple[tuple[int, int], ...]  # column c's (resident, hospital)
     res_columns: tuple[tuple[int, ...], ...]
     hosp_columns: tuple[tuple[int, ...], ...]
     res_rank: tuple[int, ...]
@@ -72,7 +64,7 @@ class IpModel:
 
     @property
     def num_variables(self) -> int:
-        return len(self.variables)
+        return len(self.pairs)
 
     @property
     def constraints(self) -> tuple[LinearConstraint, ...]:
@@ -86,28 +78,17 @@ class IpModel:
             LinearConstraint(f"cap_{j}", _unit_terms(cols), instance.capacity(j))
             for j, cols in enumerate(self.hosp_columns, start=1)
         ]
-        for v in self.variables:
-            i, j = v.resident, v.hospital
+        for column, (i, j) in enumerate(self.pairs):
             cap = instance.capacity(j)
             coeff: dict[int, int] = {}
             if cap > 0:
-                for col in through_tie(self.res_columns[i - 1], self.res_rank, v.column):
+                for col in through_tie(self.res_columns[i - 1], self.res_rank, column):
                     coeff[col] = -cap
-            for col in through_tie(self.hosp_columns[j - 1], self.hosp_rank, v.column):
+            for col in through_tie(self.hosp_columns[j - 1], self.hosp_rank, column):
                 coeff[col] = coeff.get(col, 0) - 1
             terms = tuple(sorted(coeff.items()))
             rows.append(LinearConstraint(f"stab_{i}_{j}", terms, -cap))
         return tuple(rows)
-
-    def encode(self, matching: Matching) -> list[int]:
-        """Indicator vector of a matching over this model's pairs."""
-        vector = [0] * len(self.variables)
-        for r, h in matching.pairs():
-            column = self.column_of.get((r, h))
-            if column is None:
-                raise ValueError(f"pair (r{r}, h{h}) has no variable in the model")
-            vector[column] = 1
-        return vector
 
 
 def _unit_terms(columns: Sequence[int]) -> tuple[tuple[int, int], ...]:
@@ -121,9 +102,9 @@ def through_tie(columns: Sequence[int], rank: Sequence[int], column: int) -> Ite
 
 
 def build_model(instance: Instance, ranks: RankTable) -> IpModel:
-    pairs = instance.acceptable_pairs()
-    res_rank = tuple(int(ranks.resident_rank(i, j)) for i, j in pairs)
-    hosp_rank = tuple(int(ranks.hospital_rank(j, i)) for i, j in pairs)
+    pairs = tuple(instance.acceptable_pairs())
+    res_rank = tuple(ranks.resident_ranks[i - 1][j] for i, j in pairs)
+    hosp_rank = tuple(ranks.hospital_ranks[j - 1][i] for i, j in pairs)
     res_columns: list[list[int]] = [[] for _ in range(instance.n1)]
     hosp_columns: list[list[int]] = [[] for _ in range(instance.n2)]
     for col, (i, j) in enumerate(pairs):
@@ -135,8 +116,7 @@ def build_model(instance: Instance, ranks: RankTable) -> IpModel:
             cols.sort(key=rank.__getitem__)
     return IpModel(
         instance=instance,
-        variables=tuple(IpVariable(i, j, col) for col, (i, j) in enumerate(pairs)),
-        column_of={pair: col for col, pair in enumerate(pairs)},
+        pairs=pairs,
         res_columns=tuple(map(tuple, res_columns)),
         hosp_columns=tuple(map(tuple, hosp_columns)),
         res_rank=res_rank,
@@ -157,8 +137,8 @@ def _wrap_terms(prefix: str, terms: list[str], limit: int = 76) -> list[str]:
 def _format_row(model: IpModel, constraint: LinearConstraint) -> list[str]:
     terms = []
     for position, (col, c) in enumerate(constraint.coefficients):
-        var = model.variables[col]
-        name = f"x_{var.resident}_{var.hospital}"
+        i, j = model.pairs[col]
+        name = f"x_{i}_{j}"
         if c >= 0:
             sign = "+ " if position > 0 else ""
         else:
@@ -167,28 +147,26 @@ def _format_row(model: IpModel, constraint: LinearConstraint) -> list[str]:
         terms.append(f"{sign}{magnitude}{name}")
     if not terms:
         # empty preference list: keep the named row syntactically valid
-        first = model.variables[0]
-        terms = [f"0 x_{first.resident}_{first.hospital}"]
+        i, j = model.pairs[0]
+        terms = [f"0 x_{i}_{j}"]
     terms.append(f"<= {constraint.rhs}")
     return _wrap_terms(f" {constraint.name}:", terms)
 
 
 def export_lp(model: IpModel) -> str:
     """Standard LP-file text for the model (ASCII, LF newlines)."""
-    if not model.variables:
+    if not model.pairs:
         # an empty row is written as "0 x" over some variable, and there is none
         raise ValueError("cannot export a model with no variables: no pair is acceptable")
     lines = ["Maximize"]
     objective = [
-        ("+ " if pos > 0 else "") + f"x_{v.resident}_{v.hospital}"
-        for pos, v in enumerate(model.variables)
+        ("+ " if pos > 0 else "") + f"x_{i}_{j}" for pos, (i, j) in enumerate(model.pairs)
     ]
     lines.extend(_wrap_terms(" obj:", objective))
     lines.append("Subject To")
     for constraint in model.constraints:
         lines.extend(_format_row(model, constraint))
     lines.append("Binary")
-    for v in model.variables:
-        lines.append(f" x_{v.resident}_{v.hospital}")
+    lines.extend(f" x_{i}_{j}" for i, j in model.pairs)
     lines.append("End")
     return "\n".join(lines) + "\n"

@@ -57,8 +57,10 @@
    search's integral bound, and past the threshold the returned matching
    and node count depend on which side finishes first.
 
-The search and the HiGHS child read the model's pair index (each agent's
-columns best first, and each pair's ranks) and never the model's rows.
+The search and the HiGHS child read the model's pair index (`pairs`, each
+column's resident and hospital; each agent's columns best first; each
+pair's ranks) and never the model's rows. A warm start passes
+`core.certify` first, so each of its pairs is acceptable and has a column.
 
 Every matching that becomes the incumbent (warm start, promotion start,
 search leaf or HiGHS optimum) passes `core.certify` against the model's instance.
@@ -131,8 +133,8 @@ class _Search:
         nvars = model.num_variables
         self.n1, self.n2 = instance.n1, instance.n2
         self.caps = [instance.capacity(j) for j in range(1, self.n2 + 1)]
-        self.var_res = [v.resident - 1 for v in model.variables]
-        self.var_hosp = [v.hospital - 1 for v in model.variables]
+        self.var_res = [i - 1 for i, _ in model.pairs]
+        self.var_hosp = [j - 1 for _, j in model.pairs]
         # the model's pair index: each agent's columns best first, their ranks
         self.var_rrank = model.res_rank
         self.var_hrank = model.hosp_rank
@@ -360,9 +362,7 @@ class _Search:
     def _store_incumbent(self) -> None:
         self._adopt(
             Matching.from_pairs(
-                (v.resident, v.hospital)
-                for v in self.model.variables
-                if self.state[v.column] == 1
+                pair for pair, value in zip(self.model.pairs, self.state) if value == 1
             ),
             "search incumbent",
         )
@@ -494,10 +494,7 @@ class _Search:
         answer = highs.poll(self.child)
         if answer is None or answer[0] != highs.OPTIMAL:
             return False  # still working, or Failed: the search goes on alone
-        variables = self.model.variables
-        matching = Matching.from_pairs(
-            (variables[c].resident, variables[c].hospital) for c in answer[1]
-        )
+        matching = Matching.from_pairs(self.model.pairs[c] for c in answer[1])
         if len(matching) < self.incumbent_size:
             raise SolverInternalError(f"HiGHS optimum {len(matching)} is below the incumbent")
         self._adopt(matching, "HiGHS optimum")
@@ -588,7 +585,6 @@ def solve(model: IpModel, options: SolveOptions | None = None) -> SolveOutcome:
     problem = certify(instance, search.ranks, initial)
     if problem is not None:
         raise ValueError(f"warm start {problem}")
-    model.encode(initial)  # every warm-start pair must be a model variable
 
     search.incumbent = initial
     search.incumbent_size = len(initial)

@@ -1,5 +1,6 @@
 """Shared fixtures: the six-resident example instance and its known matchings,
-and the test of a point against one of the model's rows.
+the test of a point against one of the model's rows, and the model's columns
+looked up by pair.
 
 FIG1_TEXT deliberately contains a one-sided entry (h2 lists r2 while r2 does
 not list h2) to exercise mutuality pruning. After pruning the instance has
@@ -45,6 +46,20 @@ M1_PAIRS = [(1, 1), (2, 1), (3, 3), (4, 2), (5, 3), (6, 2)]
 def violated_by(row, vector):
     """Whether the 0/1 point breaks the row."""
     return sum(c * vector[col] for col, c in row.coefficients) > row.rhs
+
+
+def column_of(model):
+    """Each of the model's pairs mapped to its column."""
+    return {pair: col for col, pair in enumerate(model.pairs)}
+
+
+def encode(model, matching):
+    """Indicator vector of a matching over the model's columns."""
+    columns = column_of(model)
+    vector = [0] * model.num_variables
+    for pair in matching.pairs():
+        vector[columns[pair]] = 1
+    return vector
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,5 @@
 """Rank, stability and validity predicates on the example instance."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,23 +21,24 @@ from strategies import instances_strategy, matchings_for
 
 
 def test_rank_table_fig1(fig1, fig1_ranks):
-    r = fig1_ranks
-    assert r.resident_rank(1, 1) == 1
-    assert r.resident_rank(1, 2) == 2
+    res, hosp = fig1_ranks.resident_ranks, fig1_ranks.hospital_ranks
+    assert res[0][1] == 1
+    assert res[0][2] == 2
     # tied entries share a rank
-    assert r.hospital_rank(2, 4) == r.hospital_rank(2, 5)
+    assert hosp[1][4] == hosp[1][5]
     # unacceptable pair
-    assert r.resident_rank(2, 3) == INFINITY
-    assert r.hospital_rank(3, 2) == INFINITY
-    assert math.isinf(r.resident_rank(2, 2))  # pruned one-sided pair
+    assert 3 not in res[1]
+    assert 2 not in hosp[2]
+    assert 2 not in res[1] and 2 not in hosp[1]  # pruned one-sided pair
 
 
 def test_rank_finite_iff_acceptable(fig1, fig1_ranks):
+    # read as blocking_pairs reads the maps: a missing entry ranks INFINITY
     for i in range(1, fig1.n1 + 1):
         for j in range(1, fig1.n2 + 1):
             acceptable = fig1.is_acceptable(i, j)
-            assert (fig1_ranks.resident_rank(i, j) < INFINITY) == acceptable
-            assert (fig1_ranks.hospital_rank(j, i) < INFINITY) == acceptable
+            assert (fig1_ranks.resident_ranks[i - 1].get(j, INFINITY) < INFINITY) == acceptable
+            assert (fig1_ranks.hospital_ranks[j - 1].get(i, INFINITY) < INFINITY) == acceptable
 
 
 def test_acceptable_pair_count_after_pruning(fig1):
@@ -95,6 +94,12 @@ def test_matching_sizes(m0, m1):
     assert len(Matching({})) == 0
 
 
+def test_matching_equality_ignores_pair_order(m0, m1):
+    shuffled = Matching.from_pairs(reversed(list(m1.pairs())))
+    assert shuffled == m1 and hash(shuffled) == hash(m1)
+    assert shuffled != m0
+
+
 def test_instance_rejects_one_sided_pair():
     with pytest.raises(InstanceError):
         Instance(
@@ -127,15 +132,15 @@ def _blocking_pairs_by_hospital(instance, ranks, matching):
     for j in range(1, instance.n2 + 1):
         holders = assignees[j]
         underfull = len(holders) < instance.capacity(j)
-        worst = max((ranks.hospital_rank(j, r) for r in holders), default=None)
+        hosp_rank = ranks.hospital_ranks[j - 1]
+        worst = max((hosp_rank[r] for r in holders), default=None)
         for i in instance.hospitals[j - 1].preferences.entries():
             assigned = matching.hospital_of(i)
-            wants = assigned is None or ranks.resident_rank(
-                i, j
-            ) < ranks.resident_rank(i, assigned)
+            res_rank = ranks.resident_ranks[i - 1]
+            wants = assigned is None or res_rank[j] < res_rank[assigned]
             if not wants:
                 continue
-            if underfull or (worst is not None and ranks.hospital_rank(j, i) < worst):
+            if underfull or (worst is not None and hosp_rank[i] < worst):
                 found.append((i, j))
     return sorted(found)
 

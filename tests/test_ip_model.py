@@ -4,17 +4,15 @@ import itertools
 import random
 import re
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
-from scipy.optimize import Bounds, LinearConstraint as ScipyRow, milp
 
 from maxhrt.core import Matching, build_rank_table, certify
 from maxhrt.instance_io import parse_instance
 from maxhrt.ip_model import LinearConstraint, build_model, export_lp
 from maxhrt.generator import GeneratorConfig, generate
 
-from conftest import M1_PAIRS, violated_by
+from conftest import M1_PAIRS, column_of, encode, violated_by
 from oracle import OracleLimit, enumerate_stable_matchings, max_stable_size
 from strategies import instances_strategy
 
@@ -59,11 +57,11 @@ def reference_rows(instance, ranks):
         if cap > 0:
             for col in res_columns[i - 1]:
                 q = pairs[col][1]
-                if ranks.resident_rank(i, q) <= ranks.resident_rank(i, j):
+                if ranks.resident_ranks[i - 1][q] <= ranks.resident_ranks[i - 1][j]:
                     coeff[col] = coeff.get(col, 0) - cap
         for col in hosp_columns[j - 1]:
             p = pairs[col][0]
-            if ranks.hospital_rank(j, p) <= ranks.hospital_rank(j, i):
+            if ranks.hospital_ranks[j - 1][p] <= ranks.hospital_ranks[j - 1][i]:
                 coeff[col] = coeff.get(col, 0) - 1
         rows.append(LinearConstraint(f"stab_{i}_{j}", tuple(sorted(coeff.items())), -cap))
     return rows
@@ -84,7 +82,9 @@ def test_rows_equal_reference(instance):
 def test_fig1_pair_index(fig1):
     # h2 ranks r1, r6, then r4 and r5 tied (kept in column order); h3 ranks r5 first
     model = _model(fig1)
-    col = model.column_of
+    assert model.pairs == tuple(fig1.acceptable_pairs())
+    assert model.num_variables == len(model.pairs)
+    col = column_of(model)
     assert model.hosp_columns[1] == (col[1, 2], col[6, 2], col[4, 2], col[5, 2])
     assert [model.hosp_rank[c] for c in model.hosp_columns[1]] == [1, 2, 3, 3]
     assert model.hosp_columns[2] == (col[5, 3], col[3, 3])
@@ -117,10 +117,7 @@ def test_fig1_stability_row_r4_h2(fig1):
     # residents h2 weakly prefers to r4 = {r1, r6, r4, r5} (ties included)
     model = _model(fig1)
     row = next(c for c in model.constraints if c.name == "stab_4_2")
-    by_pair = {
-        (model.variables[col].resident, model.variables[col].hospital): c
-        for col, c in row.coefficients
-    }
+    by_pair = {model.pairs[col]: c for col, c in row.coefficients}
     assert by_pair == {(4, 2): -3, (1, 2): -1, (6, 2): -1, (5, 2): -1}
     assert row.rhs == -2
 
@@ -133,18 +130,14 @@ def test_feasible_iff_stable_exhaustive(fig1, fig1_ranks):
     for bits in itertools.product((0, 1), repeat=model.num_variables):
         vector = list(bits)
         if is_feasible(model, vector):
-            pairs = [
-                (v.resident, v.hospital)
-                for v in model.variables
-                if vector[v.column] == 1
-            ]
+            pairs = [pair for pair, x in zip(model.pairs, vector) if x == 1]
             matching = Matching.from_pairs(pairs)
             assert certify(fig1, fig1_ranks, matching) is None
             assert sum(vector) == len(matching)
             seen.add(matching)
     assert seen == stable_set
     for matching in stable_set:
-        assert is_feasible(model, model.encode(matching))
+        assert is_feasible(model, encode(model, matching))
 
 
 def test_all_zero_violates_some_stability_row(fig1):
@@ -156,7 +149,7 @@ def test_all_zero_violates_some_stability_row(fig1):
 
 def test_m1_indicator_feasible(fig1):
     model = _model(fig1)
-    assert is_feasible(model, model.encode(Matching.from_pairs(M1_PAIRS)))
+    assert is_feasible(model, encode(model, Matching.from_pairs(M1_PAIRS)))
 
 
 def test_export_lp_single_pair(single_pair):
@@ -208,6 +201,9 @@ def parse_lp(text):
 
 def test_lp_reimport_matches_oracle_optimum():
     # independent route: exported text -> generic reader -> HiGHS
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint as ScipyRow, milp
+
     rng = random.Random(31)
     for _ in range(12):
         n2 = rng.randint(2, 3)

@@ -41,7 +41,7 @@ from maxhrt.solver import (
     solve,
 )
 
-from conftest import M1_PAIRS
+from conftest import M1_PAIRS, column_of, encode
 from oracle import OracleLimit, max_stable_size
 from strategies import instances_strategy, relabel
 
@@ -67,7 +67,7 @@ def upper_bound(model, fixing):
     """
     n1, n2 = model.instance.n1, model.instance.n2
     caps = [model.instance.capacity(j) for j in range(1, n2 + 1)]
-    var_hosp = [v.hospital - 1 for v in model.variables]
+    var_hosp = [j - 1 for _, j in model.pairs]
     state = [_UNFIXED] * model.num_variables
     res_match = [-1] * n1
     load = [0] * n2
@@ -78,14 +78,13 @@ def upper_bound(model, fixing):
             raise ValueError(f"fixing for column {col} must be 0 or 1")
         state[col] = value
         if value == 1:
-            v = model.variables[col]
-            i, j = v.resident - 1, v.hospital - 1
-            if res_match[i] >= 0:
-                raise ValueError(f"resident r{v.resident} fixed to two hospitals")
-            res_match[i] = col
-            load[j] += 1
-            if load[j] > caps[j]:
-                raise ValueError(f"capacity of h{v.hospital} exceeded by fixing")
+            r, h = model.pairs[col]
+            if res_match[r - 1] >= 0:
+                raise ValueError(f"resident r{r} fixed to two hospitals")
+            res_match[r - 1] = col
+            load[h - 1] += 1
+            if load[h - 1] > caps[h - 1]:
+                raise ValueError(f"capacity of h{h} exceeded by fixing")
     return max_placement(caps, var_hosp, model.res_columns, state, res_match, [-1] * n1)
 
 
@@ -182,6 +181,10 @@ def test_rejects_unstable_warm_start(fig1):
     unstable = Matching({1: 2})  # (r1, h1) blocks
     with pytest.raises(ValueError, match="stable"):
         solve(_model(fig1), SolveOptions(warm_start=unstable))
+    # (r2, h2) is the one-sided entry pruned from fig1, so it has no column
+    outside = Matching({2: 2})
+    with pytest.raises(ValueError, match=r"pair \(r2, h2\) is not acceptable"):
+        solve(_model(fig1), SolveOptions(warm_start=outside))
 
 
 def _recount(search):
@@ -355,7 +358,7 @@ def test_root_propagation_closes_capacity_zero_pairs():
     model = _model(instance)
     search = _Search(model, SolveOptions())
     assert search._propagate_root()
-    assert search.state[model.column_of[(1, 1)]] == 0
+    assert search.state[column_of(model)[1, 1]] == 0
     assert search._best_rank(0) == 2
     assert search.res_nonzero == [1, 1]
 
@@ -516,12 +519,9 @@ def test_upper_bound_fig1(fig1):
     model = _model(fig1)
     assert upper_bound(model, {}) == 6
     # cutting both of r1's pairs caps the bound at 5
-    fixing = {model.column_of[(1, 1)]: 0, model.column_of[(1, 2)]: 0}
-    assert upper_bound(model, fixing) <= 5
-    indicator = {
-        col: value
-        for col, value in enumerate(model.encode(Matching.from_pairs(M1_PAIRS)))
-    }
+    col = column_of(model)
+    assert upper_bound(model, {col[1, 1]: 0, col[1, 2]: 0}) <= 5
+    indicator = dict(enumerate(encode(model, Matching.from_pairs(M1_PAIRS))))
     assert upper_bound(model, indicator) == 6
 
 
@@ -534,8 +534,9 @@ def test_upper_bound_admissible_on_smalls():
 
 def test_upper_bound_rejects_bad_fixing(fig1):
     model = _model(fig1)
+    col = column_of(model)
     with pytest.raises(ValueError, match="two hospitals"):
-        upper_bound(model, {model.column_of[(1, 1)]: 1, model.column_of[(1, 2)]: 1})
+        upper_bound(model, {col[1, 1]: 1, col[1, 2]: 1})
     with pytest.raises(ValueError, match="not in the model"):
         upper_bound(model, {-1: 0})
 
@@ -608,7 +609,7 @@ def test_primal_phase_tries(config, root_tries, monkeypatch):
 
 def _optimal_answer(model, matching):
     """A child's Optimal answer: the columns of `matching`."""
-    return highs.OPTIMAL, tuple(c for c, x in enumerate(model.encode(matching)) if x)
+    return highs.OPTIMAL, tuple(c for c, x in enumerate(encode(model, matching)) if x)
 
 
 def test_a_deciding_child_stops_the_tries(monkeypatch):
@@ -704,10 +705,7 @@ def test_highs_child_answers_optimal():
             highs.close(child)
         _assert_no_child()
         assert answer is not None and answer[0] == highs.OPTIMAL
-        variables = model.variables
-        matching = Matching.from_pairs(
-            (variables[c].resident, variables[c].hospital) for c in answer[1]
-        )
+        matching = Matching.from_pairs(model.pairs[c] for c in answer[1])
         assert len(matching) == optimum
         assert certify(model.instance, build_rank_table(model.instance), matching) is None
 
@@ -728,7 +726,7 @@ def test_race_rejects_an_unstable_highs_optimum(monkeypatch):
     model = _bound_limited_model()
     n1 = model.instance.n1
     caps = [model.instance.capacity(j) for j in range(1, model.instance.n2 + 1)]
-    var_hosp = [v.hospital - 1 for v in model.variables]
+    var_hosp = [j - 1 for _, j in model.pairs]
     placement = [-1] * n1
     state = [_UNFIXED] * model.num_variables
     assert max_placement(caps, var_hosp, model.res_columns, state, [-1] * n1, placement) == 100

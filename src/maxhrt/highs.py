@@ -10,15 +10,15 @@ the pair index (Delorme et al., EJOR 2019), in which each hospital's
 prefix through a tie is one continuous column. The paper's stability row
 sums that prefix term by term, so its rows average about 40 nonzeros; the
 tie-count rows have a fifth to a quarter of the nonzeros in all, and
-HiGHS proves the pools' bound-limited instances 3-7 times sooner. The
-child writes one line to a pipe, `Optimal` and the pair columns at 1, or
-`Failed` for any other result, and always leaves by `os._exit`. A child
-that raises writes nothing, and an empty answer reads as `Failed`.
+HiGHS proves the pools' bound-limited instances 3-7 times sooner. When
+HiGHS proves an optimum, the child writes `Optimal` and the pair columns
+at 1 to a pipe; otherwise it writes nothing. It always leaves by
+`os._exit`.
 
-`poll` reads the answer without blocking; `close` kills the child and
+`poll` reads the optimum without blocking; `close` kills the child and
 reaps it, unless the host process has reaped it already. Without
 `os.fork`, or when the pipe or the fork fails, `start` returns a child
-that has already answered `Failed`.
+that has finished without an optimum.
 """
 
 from __future__ import annotations
@@ -34,23 +34,19 @@ from dataclasses import dataclass
 from .ip_model import IpModel, through_tie
 
 OPTIMAL = "Optimal"
-FAILED = "Failed"
-
-Answer = tuple[str, tuple[int, ...]]  # status, and with Optimal the columns at 1
 
 
 @dataclass
 class Child:
     pid: int  # -1: no process to reap
-    fd: int  # read end of the answer pipe, -1 once closed
-    answer: Answer | None = None
+    fd: int  # read end of the answer pipe, -1 once read to its end or closed
+    optimum: tuple[int, ...] | None = None  # the columns at 1 of HiGHS's optimum
 
 
-def start(model: IpModel, seconds: float) -> Child:
-    """Fork a child that solves the model within `seconds`."""
-    deadline = time.monotonic() + seconds
+def start(model: IpModel, deadline: float) -> Child:
+    """Fork a child that solves the model by `deadline`, a `time.monotonic()` time."""
     if not hasattr(os, "fork"):
-        return Child(-1, -1, (FAILED, ()))
+        return Child(-1, -1)
     fds: tuple[int, ...] = ()
     try:
         fds = read_fd, write_fd = os.pipe()
@@ -58,7 +54,7 @@ def start(model: IpModel, seconds: float) -> Child:
     except OSError:  # out of descriptors or processes: no race
         for fd in fds:
             os.close(fd)
-        return Child(-1, -1, (FAILED, ()))
+        return Child(-1, -1)
     if pid == 0:
         try:
             os.close(read_fd)
@@ -73,15 +69,18 @@ def start(model: IpModel, seconds: float) -> Child:
     return Child(pid, read_fd)
 
 
-def poll(child: Child) -> Answer | None:
-    """The child's answer, once it has written one; None while it is still working."""
-    if child.answer is None and select.select([child.fd], [], [], 0)[0]:
+def poll(child: Child) -> tuple[int, ...] | None:
+    """The columns of the child's optimum; None while it works, or if it has none."""
+    if child.fd >= 0 and select.select([child.fd], [], [], 0)[0]:
         chunks = []
         while chunk := os.read(child.fd, 1 << 16):
             chunks.append(chunk)
-        status, *columns = b"".join(chunks).decode().split() or [FAILED]
-        child.answer = (status, tuple(map(int, columns)))
-    return child.answer
+        os.close(child.fd)
+        child.fd = -1
+        status, *columns = b"".join(chunks).decode().split() or [""]
+        if status == OPTIMAL:
+            child.optimum = tuple(map(int, columns))
+    return child.optimum
 
 
 def close(child: Child) -> None:
@@ -144,7 +143,10 @@ def tie_count_rows(model: IpModel) -> tuple[int, list[Row]]:
 
 
 def _solve(model: IpModel, deadline: float) -> str:
-    """Run in the child: the answer line for the model, solved in tie-count form."""
+    """Run in the child: the answer line for the model, solved in tie-count form.
+
+    The line is empty unless HiGHS proves an optimum.
+    """
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csr_matrix
@@ -159,7 +161,7 @@ def _solve(model: IpModel, deadline: float) -> str:
     is_pair = (np.arange(columns) < n).astype(float)
     seconds = deadline - time.monotonic()
     if seconds <= 0:
-        return FAILED
+        return ""
     result = milp(
         c=-is_pair,
         constraints=LinearConstraint(matrix, [lo for _, lo, _ in rows], [hi for _, _, hi in rows]),
@@ -169,4 +171,4 @@ def _solve(model: IpModel, deadline: float) -> str:
     )
     if result.status == 0:
         return " ".join([OPTIMAL, *map(str, np.flatnonzero(result.x[:n] > 0.5))])
-    return FAILED
+    return ""

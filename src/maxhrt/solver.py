@@ -45,13 +45,14 @@
    prefixes, because HiGHS solves it several times faster. The child
    spends most of a second importing scipy, so the parent first goes on
    with the next promotion seeds, up to RACE_TRIES in all, until one
-   meets the root bound, the deadline passes, or the child answers
-   Optimal. The search then goes on and polls the child at each deadline
-   check; whichever finishes first wins. A HiGHS optimum becomes the
-   incumbent only through `core.certify`; one below the incumbent
-   contradicts a certified matching, and the solve raises
-   `SolverInternalError`. Any other answer (or a host without scipy or
-   `os.fork`) leaves the search to run as it would alone. The child is
+   meets the root bound, the deadline passes, or the child has an
+   optimum. The search then goes on and polls the child at each deadline
+   check; whichever finishes first wins. The child answers with an
+   optimum or with nothing. A HiGHS optimum becomes the incumbent only
+   through `core.certify`; one below the incumbent contradicts a
+   certified matching, and the solve raises `SolverInternalError`. A
+   child that ends without one (or a host without scipy or `os.fork`)
+   leaves the search to run as it would alone. The child is
    killed and reaped before the solve returns, on every path. Such a
    proof rests on HiGHS's floating-point tolerances rather than the
    search's integral bound, and past the threshold the returned matching
@@ -390,13 +391,13 @@ class _Search:
 
         Tries the seeds from `next_seed` up to `stop` - 1, and stops once the
         incumbent meets `target` (then it is proved optimal), at the
-        deadline, or once the HiGHS child's answer decides the solve.
+        deadline, or once the HiGHS child has an optimum.
         """
         while (
             self.next_seed < stop
             and self.incumbent_size < target
             and time.monotonic() <= deadline
-            and not self._child_decides()
+            and (self.child is None or highs.poll(self.child) is None)
         ):
             if self.promote is None:
                 self.promote = promotion_starts(self.model.instance)
@@ -473,13 +474,6 @@ class _Search:
 
     # -- main loop ----------------------------------------------------------
 
-    def _child_decides(self) -> bool:
-        """Whether the HiGHS child has answered Optimal."""
-        if self.child is None:
-            return False
-        answer = highs.poll(self.child)
-        return answer is not None and answer[0] == highs.OPTIMAL
-
     def _race(self, root_bound: int, deadline: float) -> bool:
         """Start the HiGHS child, or read its answer; True once the incumbent is proved.
 
@@ -487,14 +481,14 @@ class _Search:
         scipy, so the parent tries more promotion starts first.
         """
         if self.child is None:
-            self.child = highs.start(self.model, deadline - time.monotonic())
+            self.child = highs.start(self.model, deadline)
             self._try_seeds(root_bound, deadline, RACE_TRIES)
             if self.incumbent_size >= root_bound:
                 return True
-        answer = highs.poll(self.child)
-        if answer is None or answer[0] != highs.OPTIMAL:
-            return False  # still working, or Failed: the search goes on alone
-        matching = Matching.from_pairs(self.model.pairs[c] for c in answer[1])
+        columns = highs.poll(self.child)
+        if columns is None:
+            return False  # still working, or ended without an optimum
+        matching = Matching.from_pairs(self.model.pairs[c] for c in columns)
         if len(matching) < self.incumbent_size:
             raise SolverInternalError(f"HiGHS optimum {len(matching)} is below the incumbent")
         self._adopt(matching, "HiGHS optimum")

@@ -9,7 +9,7 @@ not list h2) to exercise mutuality pruning. After pruning the instance has
 
 import os
 
-# The race tests fork this process. numpy, which the tests import, would
+# The race tests fork this process. numpy, which some tests import, would
 # otherwise start OpenBLAS's threads, and a fork from a process with
 # threads can leave the child waiting on a lock no thread will release.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

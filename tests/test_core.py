@@ -113,6 +113,20 @@ def test_preference_list_rejects_duplicates():
         PreferenceList(((1,), (2, 1)))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: PreferenceList(((1,), ())), "empty tie group", id="empty-group"),
+        pytest.param(lambda: Instance((), ()), "need at least one resident and one hospital",
+                     id="no-agents"),
+    ],
+)
+def test_invalid_structure_is_named(build, message):
+    with pytest.raises(InstanceError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_capacity_zero_hospital_accepted():
     inst = Instance(
         residents=(PreferenceList.strict([1]),),

@@ -28,6 +28,21 @@ def test_sfas_like_rejects_tiny():
         sfas_like(14, 0.5, 0)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        pytest.param((0, 1, 1, 1, 0.0, 0.0), "n1 and n2 must be at least 1", id="counts"),
+        pytest.param((2, 1, -1, 1, 0.0, 0.0), "total posts must be non-negative", id="posts"),
+        pytest.param((2, 2, 2, 3, 0.0, 0.0), "list length 3 must be in 0..2", id="list-length"),
+        pytest.param((2, 2, 2, 1, 0.0, 1.5), "tie density 1.5 outside [0, 1]", id="density"),
+    ],
+)
+def test_config_rejects_bad_values(args, message):
+    with pytest.raises(ValueError) as info:
+        GeneratorConfig(*args, seed=0)
+    assert str(info.value) == message
+
+
 def test_density_one_single_tie_per_list():
     config = GeneratorConfig(40, 5, 40, 4, 0.0, 1.0, seed=9)
     instance = generate(config)

@@ -204,3 +204,61 @@ def test_id_tokens_accepted_exactly_as_kind_then_ascii_digits(token):
     except ParseError:
         value = None
     assert value == (int(match.group(1)) if match and 1 <= int(match.group(1)) else None)
+
+
+# Malformed instance texts and the full message each must raise.
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("1 1\nr1: ( ( h1 ) )\nh1: 1: r1\n", "line 2: nested tie bracket",
+                     id="nested-tie"),
+        pytest.param("1 1\nr1: h1 )\nh1: 1: r1\n", "line 2: unbalanced tie parentheses",
+                     id="close-without-open"),
+        pytest.param("1 1\nr1: h1 ( )\nh1: 1: r1\n", "line 2: empty tie group", id="empty-tie"),
+        pytest.param("# no content\n\n", "line 1: empty input", id="empty-input"),
+        pytest.param("2 1\nr1: h1\nh1: 1: r1\n",
+                     "line 3: expected 2 resident lines and 1 hospital lines, got 2",
+                     id="line-count"),
+        pytest.param("1 1\nr1 h1\nh1: 1: r1\n", "line 2: missing ':' after resident id",
+                     id="resident-colon"),
+        pytest.param("1 1\nr1: h1\nh1 1 r1\n", "line 3: missing ':' after hospital id",
+                     id="hospital-colon"),
+        pytest.param("2 1\nr2: h1\nr1: h1\nh1: 2: r1 r2\n",
+                     "line 2: expected r1 at this position, got 'r2'", id="resident-position"),
+        pytest.param("1 2\nr1: h1 h2\nh2: 1: r1\nh1: 1: r1\n",
+                     "line 3: expected h1 at this position, got 'h2'", id="hospital-position"),
+        pytest.param("1 1\nr1: h1\nh1: r1\n", "line 3: missing capacity field",
+                     id="capacity-field"),
+    ],
+)
+def test_malformed_instance_names_its_line(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_instance(text)
+    assert str(info.value) == message
+
+
+def test_resident_side_one_sided_pair_warns_with_its_line():
+    instance, warnings = parse_instance("1 2\nr1: h1 h2\nh1: 1: r1\nh2: 1:\n")
+    assert [str(w) for w in warnings] == [
+        "line 2: warning: pruned one-sided pair (r1, h2): h2 does not list r1"
+    ]
+    assert instance.acceptable_pairs() == [(1, 1)]
+
+
+# Malformed matching texts for the example instance, and the full message.
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("r1 h1\nr2 h1\n", "line 2: expected one line per resident (6), got 2",
+                     id="line-count"),
+        pytest.param("", "line 1: expected one line per resident (6), got 0", id="empty"),
+        pytest.param(M1_TEXT.replace("r3 h3", "r3 h3 h1"),
+                     "line 3: expected 'r<i> h<j>' or 'r<i> -', got 'r3 h3 h1'", id="malformed"),
+        pytest.param(M1_TEXT.replace("r1 h1\nr2 h1", "r2 h1\nr1 h1"),
+                     "line 1: expected r1 at this position, got 'r2'", id="resident-position"),
+    ],
+)
+def test_malformed_matching_names_its_line(fig1, text, message):
+    with pytest.raises(ParseError) as info:
+        parse_matching(text, fig1)
+    assert str(info.value) == message

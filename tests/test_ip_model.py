@@ -199,6 +199,7 @@ def parse_lp(text):
     return len(columns), obj, rows
 
 
+@pytest.mark.highs
 def test_lp_reimport_matches_oracle_optimum():
     # independent route: exported text -> generic reader -> HiGHS
     import numpy as np

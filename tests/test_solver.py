@@ -7,12 +7,9 @@ import subprocess
 import sys
 import time
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import csr_matrix
 
 from maxhrt import highs
 from maxhrt.core import (
@@ -185,6 +182,11 @@ def test_rejects_unstable_warm_start(fig1):
     outside = Matching({2: 2})
     with pytest.raises(ValueError, match=r"pair \(r2, h2\) is not acceptable"):
         solve(_model(fig1), SolveOptions(warm_start=outside))
+    with pytest.raises(ValueError) as info:
+        solve(_model(fig1), SolveOptions(warm_start=Matching({1: 99})))
+    assert str(info.value) == (
+        "warm start is not a valid matching for the instance: pair (r1, h99) out of range"
+    )
 
 
 def _recount(search):
@@ -405,8 +407,28 @@ def test_structural_fixings_keep_alternating_cycles():
     assert search._structural_fixings() == []
 
 
+def test_select_var_refreshes_a_spent_guide():
+    # Once every guide column of an unmatched resident is fixed to 0, the
+    # guide offers nothing, but a fresh placement still places residents:
+    # _select_var must repair the guide and branch on it, not close the node.
+    search = _Search(_model(generate(GeneratorConfig(8, 2, 6, 2, 0.0, 0.5, seed=945215))),
+                     SolveOptions())
+    assert search._propagate_root()
+    search._relaxation_bound()
+    unmatched = [i for i in range(search.n1) if search.res_match[i] < 0]
+    assert search._propagate([(search.guide[i], 0) for i in unmatched if search.guide[i] >= 0])
+    assert search._select_guided() == -1
+    col = search._select_var()
+    assert col >= 0 and search.state[col] == _UNFIXED
+    assert search.res_match[search.var_res[col]] < 0
+
+
 def highs_optimum(model):
     """Maximum weakly stable matching size, proved by HiGHS on the model."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csr_matrix
+
     rows, cols, vals, rhs = [], [], [], []
     for r, constraint in enumerate(model.constraints):
         for col, coeff in constraint.coefficients:
@@ -447,6 +469,7 @@ def _sfas(n1, tie_density, seed):
      _sfas(300, 0.5, 5),
      pytest.param(GeneratorConfig(150, 10, 150, 5, 0.3, 0.5, seed=1), id="two-sided-150-1")],
 )
+@pytest.mark.highs
 def test_never_claims_beyond_highs(config, monkeypatch):
     monkeypatch.setattr("maxhrt.solver.ESCALATE_AFTER_NODES", 10**9)
     instance = generate(config)
@@ -541,22 +564,23 @@ def test_upper_bound_rejects_bad_fixing(fig1):
         upper_bound(model, {-1: 0})
 
 
+@pytest.mark.highs
 def test_solve_never_reads_rows(fig1, monkeypatch):
     # The search works from the pair index alone, and so does the HiGHS child,
     # which builds its tie-count rows from the index; the rows are for export.
     # fig1 is proved at the root. (150, 0.5, 2) starts the child, and the
     # search mostly finishes first; on (100, 0.85, 7) the child's optimum
-    # proves the incumbent. Every answer the child gives is Optimal.
+    # proves the incumbent.
     cases = [(_model(fig1), 6), (_pipeline_model(generate(sfas_like(150, 0.5, 2))), 146),
              (_bound_limited_model(), 99)]
-    answers = []
+    optima = []
     poll = highs.poll
 
     def recording_poll(child):
-        answer = poll(child)
-        if answer is not None:
-            answers.append(answer[0])
-        return answer
+        optimum = poll(child)
+        if optimum is not None:
+            optima.append(optimum)
+        return optimum
 
     def no_rows(model):
         raise AssertionError("solve read the model's rows")
@@ -567,17 +591,18 @@ def test_solve_never_reads_rows(fig1, monkeypatch):
         outcome = solve(model, SolveOptions(time_limit=60.0))
         assert outcome.status is SolveStatus.OPTIMAL
         assert outcome.objective == optimum
-    assert answers and set(answers) == {highs.OPTIMAL}
+    assert optima
 
 
 def _failed_child(*args):
-    """A HiGHS child that has already answered Failed, as without scipy."""
-    return highs.Child(-1, -1, (highs.FAILED, ()))
+    """A HiGHS child that has ended without an optimum, as without scipy."""
+    return highs.Child(-1, -1)
 
 
 # The root tries seeds 0 to PROMOTION_TRIES - 1 when residents have ties, and
 # seed 0 alone when they have none. Once the race starts, the parent goes on
-# with the next seeds up to RACE_TRIES in all; a Failed child stops nothing.
+# with the next seeds up to RACE_TRIES in all; a child without an optimum
+# stops nothing.
 @pytest.mark.parametrize(
     "config, root_tries",
     [pytest.param(sfas_like(150, 0.5, 7), 1, id="sfas-150-0.5-7"),
@@ -608,8 +633,8 @@ def test_primal_phase_tries(config, root_tries, monkeypatch):
 
 
 def _optimal_answer(model, matching):
-    """A child's Optimal answer: the columns of `matching`."""
-    return highs.OPTIMAL, tuple(c for c, x in enumerate(encode(model, matching)) if x)
+    """A child's optimum: the columns of `matching`."""
+    return tuple(c for c, x in enumerate(encode(model, matching)) if x)
 
 
 def test_a_deciding_child_stops_the_tries(monkeypatch):
@@ -626,7 +651,7 @@ def test_a_deciding_child_stops_the_tries(monkeypatch):
 # Instances whose optimum is the root bound, where the search alone and
 # every root try fall one short. The tries made while the race's child
 # starts reach it: (200, 0.85, 8) at seed 12 and the two-sided instance at
-# seed 59. The child here has failed, so the tries alone prove them.
+# seed 59. The child here has no optimum, so the tries alone prove them.
 TRIES_AT_THE_FORK = [
     pytest.param(sfas_like(200, 0.85, 8), 200, 12, id="sfas-200-0.85-8"),
     pytest.param(GeneratorConfig(150, 10, 150, 5, 0.3, 0.5, seed=0), 150, 59,
@@ -686,30 +711,32 @@ def _assert_no_child():
 
 
 def _answer(child, seconds=30.0):
-    """The child's answer, waiting up to `seconds` for it."""
+    """The child's optimum, waiting up to `seconds` for the child to finish."""
     end = time.monotonic() + seconds
-    while (answer := highs.poll(child)) is None and time.monotonic() < end:
+    while highs.poll(child) is None and child.fd >= 0 and time.monotonic() < end:
         time.sleep(0.01)
-    return answer
+    return child.optimum
 
 
+@pytest.mark.highs
 def test_highs_child_answers_optimal():
     # The child builds its model from the pair index, not from the rows that
     # highs_optimum reads. 197 is the optimum perfbench/reference.json stores.
     for config, optimum in ((sfas_like(100, 0.85, 7), 99), (sfas_like(200, 0.85, 7), 197)):
         model = _pipeline_model(generate(config))
-        child = highs.start(model, 30.0)
+        child = highs.start(model, time.monotonic() + 30.0)
         try:
-            answer = _answer(child)
+            columns = _answer(child)
         finally:
             highs.close(child)
         _assert_no_child()
-        assert answer is not None and answer[0] == highs.OPTIMAL
-        matching = Matching.from_pairs(model.pairs[c] for c in answer[1])
+        assert columns is not None
+        matching = Matching.from_pairs(model.pairs[c] for c in columns)
         assert len(matching) == optimum
         assert certify(model.instance, build_rank_table(model.instance), matching) is None
 
 
+@pytest.mark.highs
 def test_race_proves_what_the_search_alone_cannot():
     instance = generate(sfas_like(100, 0.85, 7))
     outcome = solve(_pipeline_model(instance), SolveOptions(time_limit=3.5))
@@ -730,7 +757,7 @@ def test_race_rejects_an_unstable_highs_optimum(monkeypatch):
     placement = [-1] * n1
     state = [_UNFIXED] * model.num_variables
     assert max_placement(caps, var_hosp, model.res_columns, state, [-1] * n1, placement) == 100
-    answer = (highs.OPTIMAL, tuple(col for col in placement if col >= 0))
+    answer = tuple(col for col in placement if col >= 0)
     monkeypatch.setattr("maxhrt.solver.ESCALATE_AFTER_NODES", 1)
     monkeypatch.setattr(highs, "start", lambda *args: highs.Child(-1, -1, answer))
     with pytest.raises(SolverInternalError, match="HiGHS optimum is not weakly stable"):
@@ -753,15 +780,15 @@ def _answer_once_improved(monkeypatch, answer_for):
 
     at_fork = []
 
-    def start(model, seconds):
+    def start(model, deadline):
         at_fork.append(len(adopted))
         return highs.Child(-1, -1)
 
     def poll(child):
         # every matching the search certifies before HiGHS's beats the last
-        if child.answer is None and len(adopted) > at_fork[0]:
-            child.answer = answer_for(adopted[-1])
-        return child.answer
+        if child.optimum is None and len(adopted) > at_fork[0]:
+            child.optimum = answer_for(adopted[-1])
+        return child.optimum
 
     monkeypatch.setattr(_Search, "_adopt", recording)
     monkeypatch.setattr(highs, "start", start)
@@ -797,9 +824,10 @@ def test_race_without_scipy_runs_as_the_search_alone(monkeypatch):
     alone = solve(model, SolveOptions(time_limit=1.0))
     monkeypatch.setattr("maxhrt.solver.ESCALATE_AFTER_NODES", 1)
     monkeypatch.setitem(sys.modules, "scipy.optimize", None)  # the child's import fails
-    child = highs.start(model, 30.0)
+    child = highs.start(model, time.monotonic() + 30.0)
     try:
-        assert _answer(child) == (highs.FAILED, ())
+        assert _answer(child) is None
+        assert child.fd == -1  # the child has finished
     finally:
         highs.close(child)
     raced = solve(model, SolveOptions(time_limit=1.0))
@@ -832,6 +860,7 @@ def test_no_child_outlives_solve(monkeypatch):
     _assert_no_child()
 
 
+@pytest.mark.highs
 def test_race_in_a_host_that_reaps_children(monkeypatch):
     # With SIGCHLD ignored the kernel reaps the child as it exits, so close()
     # finds no child to wait for, whether it answered or was still working.
@@ -877,12 +906,13 @@ def test_race_forks_from_a_process_without_threads():
     assert (result.returncode, result.stderr, result.stdout) == (0, "", "OPTIMAL\n")
 
 
+@pytest.mark.highs
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's /proc")
 def test_test_process_forks_without_threads():
-    # This module imports scipy.optimize, and so numpy; conftest limits
-    # OpenBLAS to one thread first, so the race tests fork a process that
-    # has no other threads.
-    assert "scipy.optimize" in sys.modules
+    # Tests import scipy.optimize, and so numpy; conftest limits OpenBLAS to
+    # one thread first, so the race tests fork a process that has no other
+    # threads.
+    import scipy.optimize  # noqa: F401
     with open("/proc/self/status") as status:
         threads = next(line.split()[1] for line in status if line.startswith("Threads:"))
     assert threads == "1"
@@ -899,6 +929,7 @@ def test_test_process_forks_without_threads():
      _sfas(150, 0.5, 2),
      pytest.param(GeneratorConfig(100, 7, 100, 5, 0.3, 0.5, seed=7), id="two-sided-100-7")],
 )
+@pytest.mark.highs
 def test_race_from_the_first_node_agrees_with_highs(config, monkeypatch):
     monkeypatch.setattr("maxhrt.solver.ESCALATE_AFTER_NODES", 1)
     instance = generate(config)

@@ -112,7 +112,7 @@ def tie_count_rows(model: IpModel) -> tuple[int, list[Row]]:
     of its list, and a row
     y_{j,t} - y_{j,t-1} - sum of the tie's pairs = 0 makes it count j's
     assignees in ties 1 to t; a row y_{j,last} <= c_j bounds them. Each
-    pair (i, j) with c_j > 0 has the stability row
+    pair (i, j) has the stability row
     -c_j * (sum of i's pairs through j's tie) - y_{j,tie of i} <= -c_j.
     So each hospital prefix of the paper's stability rows is one column.
     """
@@ -135,10 +135,9 @@ def tie_count_rows(model: IpModel) -> tuple[int, list[Row]]:
             rows.append((((columns - 1, 1),), -math.inf, model.instance.capacity(j)))
     for column, (i, j) in enumerate(model.pairs):
         cap = model.instance.capacity(j)
-        if cap > 0:
-            prefix = through_tie(model.res_columns[i - 1], model.res_rank, column)
-            terms = [(col, -cap) for col in prefix]
-            rows.append((tuple(terms) + ((count_of[column], -1),), -math.inf, -cap))
+        prefix = through_tie(model.res_columns[i - 1], model.res_rank, column)
+        terms = [(col, -cap) for col in prefix]
+        rows.append((tuple(terms) + ((count_of[column], -1),), -math.inf, -cap))
     return columns, rows
 
 

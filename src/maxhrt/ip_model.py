@@ -1,8 +1,10 @@
 """Binary integer model for maximum-cardinality weakly stable matching.
 
-One binary variable (a column) per acceptable pair; the objective counts
-matched residents. `build_model` builds one pair index, which the solver
-reads. `pairs[c]` is column c's (resident, hospital), in the order of
+One binary variable (a column) per acceptable pair whose hospital has a
+post; the objective counts matched residents. A pair to a hospital with no
+post can never be 1, and it can never block, so it gets no column and no
+row. `build_model` builds one pair index, which the solver reads.
+`pairs[c]` is column c's (resident, hospital), in the order of
 `Instance.acceptable_pairs()`. `res_columns[i-1]` and `hosp_columns[j-1]`
 hold each agent's columns best first (a tie's members in column order),
 and `res_rank` and `hosp_rank` each column's rank on either side.
@@ -12,7 +14,7 @@ index each time `IpModel.constraints` is read, in this order:
 
 * resident rows `res_i`: each resident takes at most one hospital;
 * capacity rows `cap_j`: each hospital stays within its post count;
-* stability rows `stab_i_j`, one per acceptable pair (i, j): writing S for the
+* stability rows `stab_i_j`, one per column (i, j): writing S for the
   prefix of i's columns through j's tie and T for the prefix of j's
   columns through i's tie,
 
@@ -80,10 +82,8 @@ class IpModel:
         ]
         for column, (i, j) in enumerate(self.pairs):
             cap = instance.capacity(j)
-            coeff: dict[int, int] = {}
-            if cap > 0:
-                for col in through_tie(self.res_columns[i - 1], self.res_rank, column):
-                    coeff[col] = -cap
+            prefix = through_tie(self.res_columns[i - 1], self.res_rank, column)
+            coeff = {col: -cap for col in prefix}
             for col in through_tie(self.hosp_columns[j - 1], self.hosp_rank, column):
                 coeff[col] = coeff.get(col, 0) - 1
             terms = tuple(sorted(coeff.items()))
@@ -102,7 +102,8 @@ def through_tie(columns: Sequence[int], rank: Sequence[int], column: int) -> Ite
 
 
 def build_model(instance: Instance, ranks: RankTable) -> IpModel:
-    pairs = tuple(instance.acceptable_pairs())
+    posted = [hospital.capacity > 0 for hospital in instance.hospitals]
+    pairs = tuple(pair for pair in instance.acceptable_pairs() if posted[pair[1] - 1])
     res_rank = tuple(ranks.resident_ranks[i - 1][j] for i, j in pairs)
     hosp_rank = tuple(ranks.hospital_ranks[j - 1][i] for i, j in pairs)
     res_columns: list[list[int]] = [[] for _ in range(instance.n1)]
@@ -146,7 +147,7 @@ def _format_row(model: IpModel, constraint: LinearConstraint) -> list[str]:
         magnitude = "" if abs(c) == 1 else f"{abs(c)} "
         terms.append(f"{sign}{magnitude}{name}")
     if not terms:
-        # empty preference list: keep the named row syntactically valid
+        # a row over no column (an agent without one): keep it syntactically valid
         i, j = model.pairs[0]
         terms = [f"0 x_{i}_{j}"]
     terms.append(f"<= {constraint.rhs}")
@@ -157,7 +158,10 @@ def export_lp(model: IpModel) -> str:
     """Standard LP-file text for the model (ASCII, LF newlines)."""
     if not model.pairs:
         # an empty row is written as "0 x" over some variable, and there is none
-        raise ValueError("cannot export a model with no variables: no pair is acceptable")
+        raise ValueError(
+            "cannot export a model with no variables:"
+            " no acceptable pair has a hospital with a post"
+        )
     lines = ["Maximize"]
     objective = [
         ("+ " if pos > 0 else "") + f"x_{i}_{j}" for pos, (i, j) in enumerate(model.pairs)

@@ -3,15 +3,14 @@
 1. **Warm start.** A weakly stable matching (tie-breaking plus deferred
    acceptance, computed if not supplied) is the first incumbent, so a
    cutoff at any point still returns a matching.
-2. **Root.** Root propagation fixes pairs to hospitals with no post to 0,
-   then the root bound is a capacitated bipartite matching relaxation that
-   ignores stability rows. While the incumbent is below it, promotion
-   starts (Király's deferred acceptance, `heuristics.promotion_starts`)
-   are tried, each before the deadline, and the largest is kept: seeds 0
-   to PROMOTION_TRIES - 1 when residents have ties, else seed 0 alone.
-   Beyond seed 0 a seed also shuffles the proposal order, which on strict
-   resident lists is all it changes; such tries are left to phase 4, so
-   that a root the search closes quickly pays for one try. An incumbent
+2. **Root.** The same on every instance. Propagation runs with nothing
+   fixed, then the root bound is a capacitated bipartite matching
+   relaxation that ignores stability rows. While the incumbent is below
+   it, promotion starts (Király's deferred acceptance,
+   `heuristics.promotion_starts`) are tried, each before the deadline, and
+   the largest is kept: seeds 0 to PROMOTION_TRIES - 1. Beyond seed 0 a
+   seed also shuffles the proposal order, so the tries differ even where
+   every resident's list is strict. An incumbent
    that meets the root bound is optimal, proved at the root node. An
    incumbent one below it leaves only maximum placements of the
    relaxation to find, so the root fixes to 0 every pair in none of them
@@ -61,7 +60,8 @@
 The search and the HiGHS child read the model's pair index (`pairs`, each
 column's resident and hospital; each agent's columns best first; each
 pair's ranks) and never the model's rows. A warm start passes
-`core.certify` first, so each of its pairs is acceptable and has a column.
+`core.certify` first, so each of its pairs is acceptable, its hospital has
+a post, and it has a column.
 
 Every matching that becomes the incumbent (warm start, promotion start,
 search leaf or HiGHS optimum) passes `core.certify` against the model's instance.
@@ -86,8 +86,7 @@ from .relaxation import max_placement, structural_fixings
 
 _UNFIXED = -1
 _BIG = 1 << 30
-# Seeds the primal phase tries at the root when residents have ties, each a
-# promotion start; without resident ties the root tries seed 0 alone.
+# Seeds the root tries on every instance, each a promotion start.
 PROMOTION_TRIES = 32
 # Seeds tried in all, root included, once the HiGHS race starts.
 RACE_TRIES = 256
@@ -129,7 +128,9 @@ class _Search:
         self.model = model
         self.options = options
         instance = model.instance
-        # certification reads ranks of its own, not the ones the model came from
+        # the rank table `certify` takes, for the warm start and each incumbent;
+        # the model keeps only its columns' ranks (the table shares the
+        # instance's rank maps, so building it copies none)
         self.ranks = build_rank_table(instance)
         nvars = model.num_variables
         self.n1, self.n2 = instance.n1, instance.n2
@@ -241,12 +242,6 @@ class _Search:
                 res_dirty[i] = True
                 self.dirty_res.append(i)
 
-    def _propagate_root(self) -> bool:
-        """Root propagation; a pair to a hospital with no post is fixed to 0."""
-        return self._propagate(
-            [(w, 0) for j, c in enumerate(self.caps) if c == 0 for w in self.hosp_vars[j]]
-        )
-
     def _best_rank(self, i: int) -> int:
         m = self.res_match[i]
         if m >= 0:
@@ -295,7 +290,7 @@ class _Search:
             bad = False
             nonzero = ones = 0
             idx = 0
-            count = len(vs) if c > 0 else 0
+            count = len(vs)
             while idx < count:
                 block_rank = var_hrank[vs[idx]]
                 start = idx
@@ -375,16 +370,6 @@ class _Search:
             raise SolverInternalError(f"{source} {problem}")
         self.incumbent = matching
         self.incumbent_size = len(matching)
-
-    def _primal_phase(self, target: int, deadline: float) -> None:
-        """The root's promotion starts: seeds 0 to PROMOTION_TRIES - 1, or 0 alone.
-
-        Seeds beyond 0 shuffle residents' ties, and only these earn a place
-        at the root: every open root pays for its tries, also one the search
-        closes in a few nodes. The rest wait for the race (`_race`).
-        """
-        tied = any(not plist.is_strict() for plist in self.model.instance.residents)
-        self._try_seeds(target, deadline, PROMOTION_TRIES if tied else 1)
 
     def _try_seeds(self, target: int, deadline: float, stop: int) -> None:
         """Raise the incumbent toward `target` with promotion starts.
@@ -504,11 +489,11 @@ class _Search:
     def _run(self) -> SolveOutcome:
         start = time.monotonic()
         deadline = start + self.options.time_limit
-        if not self._propagate_root():
+        if not self._propagate([]):
             raise SolverInternalError("root propagation found no stable matching")
         self.nodes = 1
         root_bound = self._relaxation_bound()
-        self._primal_phase(root_bound, deadline)
+        self._try_seeds(root_bound, deadline, PROMOTION_TRIES)
         if self.incumbent_size == root_bound - 1 and self._fix_tight_root():
             root_bound = self.incumbent_size  # no better matching is left
         timed_out = False

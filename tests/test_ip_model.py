@@ -36,8 +36,12 @@ def kind_of(row):
 
 
 def reference_rows(instance, ranks):
-    """Every row built eagerly, each stability row by filtering on ranks."""
-    pairs = instance.acceptable_pairs()
+    """Every row built eagerly, each stability row by filtering on ranks.
+
+    A pair to a hospital with no post gets no column: it can never be 1,
+    and it can never block.
+    """
+    pairs = [(i, j) for i, j in instance.acceptable_pairs() if instance.capacity(j) > 0]
     res_columns = [[] for _ in range(instance.n1)]
     hosp_columns = [[] for _ in range(instance.n2)]
     for col, (i, j) in enumerate(pairs):
@@ -54,11 +58,10 @@ def reference_rows(instance, ranks):
     for i, j in pairs:
         cap = instance.capacity(j)
         coeff = {}
-        if cap > 0:
-            for col in res_columns[i - 1]:
-                q = pairs[col][1]
-                if ranks.resident_ranks[i - 1][q] <= ranks.resident_ranks[i - 1][j]:
-                    coeff[col] = coeff.get(col, 0) - cap
+        for col in res_columns[i - 1]:
+            q = pairs[col][1]
+            if ranks.resident_ranks[i - 1][q] <= ranks.resident_ranks[i - 1][j]:
+                coeff[col] = coeff.get(col, 0) - cap
         for col in hosp_columns[j - 1]:
             p = pairs[col][0]
             if ranks.hospital_ranks[j - 1][p] <= ranks.hospital_ranks[j - 1][i]:
@@ -160,9 +163,15 @@ def test_export_lp_single_pair(single_pair):
 
 
 def test_export_lp_rejects_model_without_variables():
-    instance, _ = parse_instance("1 1\nr1:\nh1: 1:\n")
-    with pytest.raises(ValueError, match="no variables"):
-        export_lp(_model(instance))
+    # r1 lists nothing; then every acceptable pair goes to a hospital with no post
+    for text in ("1 1\nr1:\nh1: 1:\n", "2 2\nr1: h1\nr2: h1 h2\nh1: 0: r1 r2\nh2: 0: r2\n"):
+        instance, _ = parse_instance(text)
+        with pytest.raises(ValueError) as info:
+            export_lp(_model(instance))
+        assert str(info.value) == (
+            "cannot export a model with no variables:"
+            " no acceptable pair has a hospital with a post"
+        )
 
 
 def test_export_lp_fig1_rows_and_binaries(fig1):

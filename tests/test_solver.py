@@ -215,7 +215,7 @@ def test_failed_propagation_undoes_to_consistent_counters():
     checked = 0
     for instance in small_instances(40, seed=33):
         search = _Search(_model(instance), SolveOptions())
-        if not search._propagate_root():
+        if not search._propagate([]):
             continue
         unfixed = [
             [col for col in cols if search.state[col] < 0] for cols in search.res_vars
@@ -252,8 +252,6 @@ def reference_scan(search):
     for j in range(search.n2):
         c = search.caps[j]
         vs = search.hosp_vars[j]
-        if c == 0 or not vs:
-            continue
         nonzero = ones = 0
         idx = 0
         while idx < len(vs):
@@ -329,7 +327,7 @@ def test_incremental_node_evaluation_matches_full(data):
         return result
 
     search._scan = checked_scan
-    assert search._propagate_root()
+    assert search._propagate([])
     _check_relaxation(search, model)
     marks = []
     for _ in range(data.draw(st.integers(1, 15))):
@@ -349,8 +347,8 @@ def test_incremental_node_evaluation_matches_full(data):
         _check_relaxation(search, model)
 
 
-def test_root_propagation_closes_capacity_zero_pairs():
-    # r1 lists h1, which has no post, then h2; r2 lists h2. Left open,
+def test_capacity_zero_pairs_have_no_column():
+    # r1 lists h1, which has no post, then h2; r2 lists h2. With a column,
     # (r1, h1) would count as r1's best option and as a post that exists.
     instance = Instance(
         residents=(PreferenceList.strict((1, 2)), PreferenceList.strict((2,))),
@@ -358,11 +356,27 @@ def test_root_propagation_closes_capacity_zero_pairs():
                    Hospital(1, PreferenceList.strict((1, 2)))),
     )
     model = _model(instance)
+    assert model.pairs == ((1, 2), (2, 2))
     search = _Search(model, SolveOptions())
-    assert search._propagate_root()
-    assert search.state[column_of(model)[1, 1]] == 0
+    assert search._propagate([])
     assert search._best_rank(0) == 2
     assert search.res_nonzero == [1, 1]
+
+
+def test_model_without_columns_solves_to_zero():
+    # every acceptable pair goes to a hospital with no post
+    instance = Instance(
+        residents=(PreferenceList.strict((1, 2)), PreferenceList.strict((1,))),
+        hospitals=(Hospital(0, PreferenceList.strict((1, 2))),
+                   Hospital(0, PreferenceList.strict((1,)))),
+    )
+    model = _model(instance)
+    assert model.num_variables == 0
+    outcome = solve(model)
+    assert outcome.status is SolveStatus.OPTIMAL
+    assert outcome.objective == outcome.proof_bound == 0
+    assert outcome.matching == Matching({})
+    assert outcome.nodes == 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -373,7 +387,7 @@ def test_structural_fixings_match_brute_force(data):
     # does: the pairs in no maximum placement and those in all of them.
     model = _model(data.draw(instances_strategy(max_residents=8, max_hospitals=4)))
     search = _Search(model, SolveOptions())
-    assert search._propagate_root()
+    assert search._propagate([])
     for _ in range(data.draw(st.integers(0, 6))):
         unfixed = [col for col, value in enumerate(search.state) if value < 0]
         if not unfixed:
@@ -402,7 +416,7 @@ def test_structural_fixings_keep_alternating_cycles():
     tied = PreferenceList(((1, 2),))
     instance = Instance(residents=(tied, tied), hospitals=(Hospital(1, tied), Hospital(1, tied)))
     search = _Search(_model(instance), SolveOptions())
-    assert search._propagate_root()
+    assert search._propagate([])
     assert search._relaxation_bound() == 2
     assert search._structural_fixings() == []
 
@@ -413,7 +427,7 @@ def test_select_var_refreshes_a_spent_guide():
     # _select_var must repair the guide and branch on it, not close the node.
     search = _Search(_model(generate(GeneratorConfig(8, 2, 6, 2, 0.0, 0.5, seed=945215))),
                      SolveOptions())
-    assert search._propagate_root()
+    assert search._propagate([])
     search._relaxation_bound()
     unmatched = [i for i in range(search.n1) if search.res_match[i] < 0]
     assert search._propagate([(search.guide[i], 0) for i in unmatched if search.guide[i] >= 0])
@@ -483,11 +497,13 @@ def test_never_claims_beyond_highs(config, monkeypatch):
 
 # Instances whose optimum equals the root relaxation bound, where a plain
 # Gale-Shapley warm start falls short and the search alone once timed out.
-# The primal phase finds the optimum before branching, so the proof needs
-# one node; the time limit is far above what that takes.
+# The root's promotion starts find the optimum before branching (on
+# (200, 0.85, 8) at seed 12), so the proof needs one node; the time limit is
+# far above what that takes.
 @pytest.mark.parametrize(
     "config, optimum",
     [pytest.param(sfas_like(300, 0.85, 8), 300, id="sfas-300-0.85-8"),
+     pytest.param(sfas_like(200, 0.85, 8), 200, id="sfas-200-0.85-8"),
      pytest.param(GeneratorConfig(150, 10, 150, 5, 0.3, 0.5, seed=7), 150,
                   id="two-sided-150-7")],
 )
@@ -502,6 +518,26 @@ def test_primal_phase_proves_at_root(config, optimum):
     assert certify(instance, build_rank_table(instance), outcome.matching) is None
 
 
+# The root is the same whatever the labeling: these instances, each relabeled
+# ten ways, once took from 23 to over 17 000 nodes or timed out, by labeling,
+# because a root without resident ties tried one promotion start. The race is off, so
+# every proof is the root's or the search's.
+@pytest.mark.parametrize(
+    "config, max_nodes",
+    [pytest.param(sfas_like(150, 0.5, 7), 100, id="sfas-150-0.5-7"),
+     pytest.param(sfas_like(200, 0.85, 8), 1, id="sfas-200-0.85-8"),
+     pytest.param(sfas_like(200, 0.85, 9), 1, id="sfas-200-0.85-9")],
+)
+def test_relabeled_root_proves_in_few_nodes(config, max_nodes, monkeypatch):
+    monkeypatch.setattr("maxhrt.solver.ESCALATE_AFTER_NODES", 10**9)
+    instance = generate(config)
+    for k in range(1, 11):
+        relabeled, _, _ = relabel(instance, random.Random(k))
+        outcome = solve(_pipeline_model(relabeled), SolveOptions(time_limit=5.0))
+        assert outcome.status is SolveStatus.OPTIMAL, k
+        assert outcome.nodes <= max_nodes, k
+
+
 def test_tight_root_fixings_prove_in_few_nodes():
     # The warm start gives 149 against a root bound of 150 (promotion seed 0
     # gives 148), so this also guards the warm start's output; without
@@ -514,9 +550,9 @@ def test_tight_root_fixings_prove_in_few_nodes():
     assert certify(instance, build_rank_table(instance), outcome.matching) is None
 
 
-# Small instances where the primal phase ends one below the root bound and
-# the root's fixings alone prove the incumbent (7 and 15 nodes without them);
-# the second has ties on the residents' side.
+# Small instances where the root's promotion starts end one below the root
+# bound and the root's fixings alone prove the incumbent (7 and 15 nodes
+# without them); the second has ties on the residents' side.
 @pytest.mark.parametrize(
     "config",
     [GeneratorConfig(5, 3, 4, 2, 0.0, 0.5, seed=588093),
@@ -599,36 +635,36 @@ def _failed_child(*args):
     return highs.Child(-1, -1)
 
 
-# The root tries seeds 0 to PROMOTION_TRIES - 1 when residents have ties, and
-# seed 0 alone when they have none. Once the race starts, the parent goes on
-# with the next seeds up to RACE_TRIES in all; a child without an optimum
-# stops nothing.
+# The root tries seeds 0 to PROMOTION_TRIES - 1 on every instance, with
+# resident ties (the two-sided one) or without. Once the race starts, the
+# parent goes on with the next seeds up to RACE_TRIES in all; a child without
+# an optimum stops nothing. Here no try ever improves the incumbent, so none
+# stops the others, and the race starts at the first search node.
 @pytest.mark.parametrize(
-    "config, root_tries",
-    [pytest.param(sfas_like(150, 0.5, 7), 1, id="sfas-150-0.5-7"),
-     pytest.param(GeneratorConfig(150, 10, 150, 5, 0.3, 0.5, seed=0), PROMOTION_TRIES,
-                  id="two-sided-150-0")],
+    "config",
+    [pytest.param(sfas_like(150, 0.5, 7), id="sfas-150-0.5-7"),
+     pytest.param(GeneratorConfig(150, 10, 150, 5, 0.3, 0.5, seed=0), id="two-sided-150-0")],
 )
-def test_primal_phase_tries(config, root_tries, monkeypatch):
-    search = _Search(_pipeline_model(generate(config)), SolveOptions())
+def test_primal_phase_tries(config, monkeypatch):
     calls = []
+    at_fork = []
 
     def counted(instance):
-        start = promotion_starts(instance)
-
         def tried(seed):
             calls.append(seed)
-            return start(seed)
+            return Matching({})
 
         return tried
 
+    def start(model, deadline):
+        at_fork.append(list(calls))
+        return _failed_child()
+
     monkeypatch.setattr("maxhrt.solver.promotion_starts", counted)
-    monkeypatch.setattr(highs, "start", _failed_child)
-    out_of_reach = search.n1 + 1
-    deadline = time.monotonic() + 60.0
-    search._primal_phase(out_of_reach, deadline)
-    assert calls == list(range(root_tries))
-    assert not search._race(out_of_reach, deadline)
+    monkeypatch.setattr(highs, "start", start)
+    monkeypatch.setattr("maxhrt.solver.ESCALATE_AFTER_NODES", 1)
+    solve(_pipeline_model(generate(config)), SolveOptions(time_limit=0.5))
+    assert at_fork == [list(range(PROMOTION_TRIES))]
     assert calls == list(range(RACE_TRIES))
 
 
@@ -649,11 +685,12 @@ def test_a_deciding_child_stops_the_tries(monkeypatch):
 
 
 # Instances whose optimum is the root bound, where the search alone and
-# every root try fall one short. The tries made while the race's child
-# starts reach it: (200, 0.85, 8) at seed 12 and the two-sided instance at
-# seed 59. The child here has no optimum, so the tries alone prove them.
+# every root try fall short. The tries made while the race's child starts
+# reach it: the two-sided instances at seeds 73 and 59. The child here has
+# no optimum, so the tries alone prove them.
 TRIES_AT_THE_FORK = [
-    pytest.param(sfas_like(200, 0.85, 8), 200, 12, id="sfas-200-0.85-8"),
+    pytest.param(GeneratorConfig(200, 14, 200, 5, 0.3, 0.5, seed=4), 200, 73,
+                 id="two-sided-200-4"),
     pytest.param(GeneratorConfig(150, 10, 150, 5, 0.3, 0.5, seed=0), 150, 59,
                  id="two-sided-150-0"),
 ]
@@ -797,10 +834,14 @@ def _answer_once_improved(monkeypatch, answer_for):
     return adopted, at_fork
 
 
-# (200, 0.85, 7): the root's one try leaves 194 under a root bound of 200, and
-# the tries at the fork raise it to 196 (optimum 197).
+def _two_sided_200_7():
+    """Two-sided n1 = 200 seed 7: the root's tries end at 194 under a root
+    bound of 200, and the tries at the fork raise it to 196."""
+    return _model(generate(GeneratorConfig(200, 14, 200, 5, 0.3, 0.5, seed=7)))
+
+
 def test_race_accepts_a_highs_optimum_equal_to_the_improved_incumbent(monkeypatch):
-    model = _pipeline_model(generate(sfas_like(200, 0.85, 7)))
+    model = _two_sided_200_7()
     adopted, at_fork = _answer_once_improved(monkeypatch, lambda m: _optimal_answer(model, m))
     outcome = solve(model, SolveOptions(time_limit=60.0))
     assert outcome.status is SolveStatus.OPTIMAL
@@ -811,7 +852,7 @@ def test_race_accepts_a_highs_optimum_equal_to_the_improved_incumbent(monkeypatc
 
 def test_race_rejects_a_highs_optimum_below_the_incumbent(monkeypatch):
     # the child's matching is certified, but smaller than one the search holds
-    model = _pipeline_model(generate(sfas_like(200, 0.85, 7)))
+    model = _two_sided_200_7()
     warm = warm_start(model.instance)
     _answer_once_improved(monkeypatch, lambda matching: _optimal_answer(model, warm))
     with pytest.raises(SolverInternalError, match="HiGHS optimum 1.. is below the incumbent"):

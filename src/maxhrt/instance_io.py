@@ -14,13 +14,17 @@ Groups in round brackets are ties; a bare id is a strict entry. Tokens are
 whitespace-separated, but brackets glued to ids (as in ``(r4 r5)``) are
 accepted. Ids are ``r`` or ``h`` followed by ASCII digits and must be the
 dense ranges 1..n1 and 1..n2, with resident and hospital lines in index order.
+Both parsers look each token up in a table of the canonical ids (``r1`` to
+``r<n1>``, ``h1`` to ``h<n2>``); any other token, such as ``h01`` or a
+bracket, gets the full check, so what is accepted and every error message
+are the same as without the table.
 
 Matching format: one line per resident in index order, ``r<i> h<j>`` for a
 matched resident or ``r<i> -`` for an unmatched one.
 
 One-sided list entries (a hospital listing a resident that does not list it
 back, or vice versa) are pruned with a warning, since acceptability is
-mutual by definition.
+mutual by definition. Each pruned agent's list is rebuilt once.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     """Non-empty, non-comment lines with their 1-based line numbers."""
     out = []
     for num, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r").strip()
+        line = raw.strip()
         if line and not line.startswith("#"):
             out.append((num, line))
     return out
@@ -62,6 +66,11 @@ def _is_int(text: str) -> bool:
     """Whether `text` is an optional '-' followed by ASCII digits."""
     digits = text[1:] if text.startswith("-") else text
     return digits.isascii() and digits.isdigit()
+
+
+def _id_table(kind: str, limit: int) -> dict[str, int]:
+    """Each canonical id token of one kind, such as "h1" up to f"h{limit}", mapped to its number."""
+    return {f"{kind}{value}": value for value in range(1, limit + 1)}
 
 
 def _parse_id(token: str, kind: str, limit: int, line: int) -> int:
@@ -75,31 +84,40 @@ def _parse_id(token: str, kind: str, limit: int, line: int) -> int:
     return value
 
 
-def _parse_groups(tokens: list[str], kind: str, limit: int, line: int) -> PreferenceList:
+def _lookup_id(token: str, ids: dict[str, int], kind: str, line: int) -> int:
+    """The number of an id token: from the table, or else by the full check."""
+    value = ids.get(token)
+    return value if value is not None else _parse_id(token, kind, len(ids), line)
+
+
+def _parse_groups(tokens: list[str], ids: dict[str, int], kind: str, line: int) -> PreferenceList:
     groups: list[tuple[int, ...]] = []
     seen: set[int] = set()
     tie: list[int] | None = None
     for token in tokens:
-        if token == "(":
-            if tie is not None:
-                raise ParseError(line, "nested tie bracket")
-            tie = []
-        elif token == ")":
-            if tie is None:
-                raise ParseError(line, "unbalanced tie parentheses")
-            if not tie:
-                raise ParseError(line, "empty tie group")
-            groups.append(tuple(tie))
-            tie = None
+        agent = ids.get(token)
+        if agent is None:
+            if token == "(":
+                if tie is not None:
+                    raise ParseError(line, "nested tie bracket")
+                tie = []
+                continue
+            if token == ")":
+                if tie is None:
+                    raise ParseError(line, "unbalanced tie parentheses")
+                if not tie:
+                    raise ParseError(line, "empty tie group")
+                groups.append(tuple(tie))
+                tie = None
+                continue
+            agent = _parse_id(token, kind, len(ids), line)
+        if agent in seen:
+            raise ParseError(line, f"duplicate entry {token!r}")
+        seen.add(agent)
+        if tie is None:
+            groups.append((agent,))
         else:
-            agent = _parse_id(token, kind, limit, line)
-            if agent in seen:
-                raise ParseError(line, f"duplicate entry {token!r}")
-            seen.add(agent)
-            if tie is None:
-                groups.append((agent,))
-            else:
-                tie.append(agent)
+            tie.append(agent)
     if tie is not None:
         raise ParseError(line, "unbalanced tie parentheses")
     return PreferenceList(tuple(groups))
@@ -107,6 +125,12 @@ def _parse_groups(tokens: list[str], kind: str, limit: int, line: int) -> Prefer
 
 def _tokenize_list(body: str) -> list[str]:
     return body.replace("(", " ( ").replace(")", " ) ").split()
+
+
+def _prune(lists: list[PreferenceList], removed: dict[int, set[int]]) -> None:
+    """Drop each agent's `removed` ids from its list, one rebuild per agent."""
+    for agent, ids in removed.items():
+        lists[agent - 1] = lists[agent - 1].without(ids)
 
 
 def parse_instance(text: str) -> tuple[Instance, list[ParseDiagnostic]]:
@@ -130,6 +154,8 @@ def parse_instance(text: str) -> tuple[Instance, list[ParseDiagnostic]]:
             lines[-1][0],
             f"expected {n1} resident lines and {n2} hospital lines, got {len(lines) - 1}",
         )
+    res_ids = _id_table("r", n1)
+    hosp_ids = _id_table("h", n2)
 
     res_lists: list[PreferenceList] = []
     res_lines: list[int] = []
@@ -138,9 +164,9 @@ def parse_instance(text: str) -> tuple[Instance, list[ParseDiagnostic]]:
         head, sep, body = line.partition(":")
         if not sep:
             raise ParseError(num, "missing ':' after resident id")
-        if _parse_id(head.strip(), "r", n1, num) != i:
+        if _lookup_id(head.strip(), res_ids, "r", num) != i:
             raise ParseError(num, f"expected r{i} at this position, got {head.strip()!r}")
-        res_lists.append(_parse_groups(_tokenize_list(body), "h", n2, num))
+        res_lists.append(_parse_groups(_tokenize_list(body), hosp_ids, "h", num))
         res_lines.append(num)
 
     capacities: list[int] = []
@@ -151,7 +177,7 @@ def parse_instance(text: str) -> tuple[Instance, list[ParseDiagnostic]]:
         head, sep, rest = line.partition(":")
         if not sep:
             raise ParseError(num, "missing ':' after hospital id")
-        if _parse_id(head.strip(), "h", n2, num) != j:
+        if _lookup_id(head.strip(), hosp_ids, "h", num) != j:
             raise ParseError(num, f"expected h{j} at this position, got {head.strip()!r}")
         cap_text, sep, body = rest.partition(":")
         if not sep:
@@ -166,26 +192,30 @@ def parse_instance(text: str) -> tuple[Instance, list[ParseDiagnostic]]:
         if capacity < 0:
             raise ParseError(num, f"capacity must be non-negative, got {capacity}")
         capacities.append(capacity)
-        hosp_lists.append(_parse_groups(_tokenize_list(body), "r", n1, num))
+        hosp_lists.append(_parse_groups(_tokenize_list(body), res_ids, "r", num))
         hosp_lines.append(num)
 
     # Prune one-sided entries so that acceptability is mutual.
     res_only, hosp_only = one_sided_pairs(res_lists, hosp_lists)
     warnings: list[ParseDiagnostic] = []
+    res_removed: dict[int, set[int]] = {}
     for i, h in sorted(res_only):
         warnings.append(
             ParseDiagnostic(
                 res_lines[i - 1], f"pruned one-sided pair (r{i}, h{h}): h{h} does not list r{i}"
             )
         )
-        res_lists[i - 1] = res_lists[i - 1].without({h})
+        res_removed.setdefault(i, set()).add(h)
+    hosp_removed: dict[int, set[int]] = {}
     for r, j in sorted(hosp_only):
         warnings.append(
             ParseDiagnostic(
                 hosp_lines[j - 1], f"pruned one-sided pair (r{r}, h{j}): r{r} does not list h{j}"
             )
         )
-        hosp_lists[j - 1] = hosp_lists[j - 1].without({r})
+        hosp_removed.setdefault(j, set()).add(r)
+    _prune(res_lists, res_removed)
+    _prune(hosp_lists, hosp_removed)
 
     instance = Instance(
         residents=tuple(res_lists),
@@ -225,16 +255,18 @@ def parse_matching(text: str, instance: Instance) -> Matching:
             lines[-1][0] if lines else 1,
             f"expected one line per resident ({instance.n1}), got {actual}",
         )
+    res_ids = _id_table("r", instance.n1)
+    hosp_ids = _id_table("h", instance.n2)
     assignment: dict[int, int] = {}
     for i, (num, line) in enumerate(lines, start=1):
         tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(num, f"expected 'r<i> h<j>' or 'r<i> -', got {line!r}")
-        if _parse_id(tokens[0], "r", instance.n1, num) != i:
+        if _lookup_id(tokens[0], res_ids, "r", num) != i:
             raise ParseError(num, f"expected r{i} at this position, got {tokens[0]!r}")
         if tokens[1] == "-":
             continue
-        assignment[i] = _parse_id(tokens[1], "h", instance.n2, num)
+        assignment[i] = _lookup_id(tokens[1], hosp_ids, "h", num)
     matching = Matching(assignment)
     violations = validate_matching(instance, matching)
     if violations:

@@ -8,32 +8,40 @@ Pass one (hospitals offer): while some hospital's vacancies can absorb
 its whole active tie, the tie's residents are provisionally pulled in
 (breaking their previous provisional assignments) and every hospital a
 pulled resident ranks strictly below the offering one is cut from its
-list. The active tie is the first nonempty tie after a hospital's least
-preferred current assignee, or its first nonempty tie while it has no
-assignees. Each round offers from the lowest-index eligible hospital. The
-pass keeps every eligible hospital's active tie and, after an offer,
-re-derives it only for the hospitals that round changed: the offering one
-and those that lost a pair, which include the previous hospitals of the
-residents it pulled in. Ties keep their original positions, and a tie a
-hospital has offered keeps only the residents it still holds, since a
-resident that leaves for a better hospital loses its pair with this one.
-So every tie after the least preferred assignee's, up to the last tie
-offered, is empty, and the active tie is the first nonempty tie after the
-last one offered. Each hospital keeps a cursor there that only moves
-forward, over ties that stay empty. A round costs O(n2) to select the
-offering hospital plus O(1) for each hospital it changed; the cursors
-skip each emptied tie once in the whole pass.
+list, with one truncation of that list. The active tie is the first
+nonempty tie after a hospital's least preferred current assignee, or its
+first nonempty tie while it has no assignees. Each round offers from the
+lowest-index eligible hospital. The pass keeps every eligible hospital's
+active tie. Ties keep their original positions, and a tie a hospital has
+offered keeps only the residents it still holds, since a resident that
+leaves for a better hospital loses its pair with this one. So every tie
+after the least preferred assignee's, up to the last tie offered, is
+empty, and the active tie is the first nonempty tie after the last one
+offered. Each hospital keeps a cursor there that only moves forward,
+over ties that stay empty. After an offer, the pass re-derives the
+active tie only for the hospitals whose active tie or vacancies that
+round changed: the offering one, the previous hospitals of the residents
+it pulled in, and those whose active tie lost a resident. A hospital
+that loses a pair in a later tie keeps its active tie, and one that
+loses a pair in a tie it has offered held that resident, so it is a
+previous hospital. A round costs O(n2) to select the offering hospital,
+plus the length of each pulled resident's list and O(1) for each pair it
+deletes; the cursors skip each emptied tie once in the whole pass.
 
 Pass two (residents apply): free residents apply down their lists; once
 a hospital has at least as many provisional assignees as capacity, every
 strict successor of its capacity-th-choice assignee is cut, freeing any
-of them that were provisionally assigned. Oversubscription is possible
-while the capacity-th assignee sits inside a tie; that is fine, the
-provisional assignment only drives deletions and is discarded.
+of them that were provisionally assigned. The cut drops the tail of the
+hospital's list of ties at once. Each hospital keeps its assignees'
+ranks in a sorted list, so the capacity-th assignee's rank is read off
+by index. Oversubscription is possible while the capacity-th
+assignee sits inside a tie; that is fine, the provisional assignment
+only drives deletions and is discarded.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from collections import deque
 
 from .core import Hospital, Instance, PreferenceList
@@ -54,44 +62,68 @@ def _require_strict_residents(instance: Instance) -> None:
 class _WorkingInstance:
     """Mutable preference structure shared by both passes.
 
-    A hospital's ties keep their original positions: a tie that deletions
-    empty stays in place until `to_instance` drops it.
+    Each pass cuts lists on one side with one truncation and removes the
+    matching entries on the other side one at a time.
+
+    A hospital's list has a slot for each rank of the list it started
+    with. Each tie sits in the slot of its rank, as the list of its
+    residents still listed; slot 0 and the slots of ranks that no tie has
+    hold an empty tuple. So a resident's tie is found from the starting
+    list's rank map, and no tie ever moves: a tie that deletions empty
+    stays in place until `to_instance` drops it, and cutting the list's
+    tail leaves the slots before it unchanged.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
         self.caps = [h.capacity for h in instance.hospitals]
         self.res_lists = [list(p.entries()) for p in instance.residents]
-        self.hosp_groups = [
-            [list(g) for g in h.preferences.groups] for h in instance.hospitals
-        ]
-        # hospital index -> resident -> position of its tie on that hospital's list
-        self.tie_of = [
-            {r: idx for idx, group in enumerate(groups) for r in group}
-            for groups in self.hosp_groups
-        ]
+        # hospital index -> resident -> rank on the starting list; read-only
+        self.hosp_ranks = [h.preferences.ranks() for h in instance.hospitals]
+        self.hosp_ties: list[list] = []
+        for hospital, ranks in zip(instance.hospitals, self.hosp_ranks):
+            ties: list = [()] * (len(ranks) + 1)
+            for group in hospital.preferences.groups:
+                ties[ranks[group[0]]] = list(group)
+            self.hosp_ties.append(ties)
         self.deleted: set[Pair] = set()
 
-    def delete_pair(self, resident: int, hospital: int) -> None:
-        self.res_lists[resident - 1].remove(hospital)
-        self.hosp_groups[hospital - 1][self.tie_of[hospital - 1][resident]].remove(resident)
-        self.deleted.add((resident, hospital))
+    def cut_resident_list(self, resident: int, hospital: int) -> list[int]:
+        """Delete the pairs of `resident` with the hospitals it ranks below `hospital`.
 
-    def successors_on_resident_list(self, resident: int, hospital: int) -> list[int]:
+        Returns those hospitals.
+        """
         prefs = self.res_lists[resident - 1]
-        return prefs[prefs.index(hospital) + 1 :]
+        keep = prefs.index(hospital) + 1
+        cut = prefs[keep:]
+        del prefs[keep:]
+        for h in cut:
+            self.hosp_ties[h - 1][self.hosp_ranks[h - 1][resident]].remove(resident)
+            self.deleted.add((resident, h))
+        return cut
+
+    def cut_hospital_list(self, hospital: int, rank: int) -> list[int]:
+        """Delete the pairs of `hospital` with the residents it ranks below `rank`.
+
+        Returns those residents, best tie first.
+        """
+        ties = self.hosp_ties[hospital - 1]
+        cut = [r for tie in ties[rank + 1 :] for r in tie]
+        del ties[rank + 1 :]
+        for r in cut:
+            self.res_lists[r - 1].remove(hospital)
+            self.deleted.add((r, hospital))
+        return cut
 
     def to_instance(self) -> Instance:
         """The reduced instance; an agent that lost no pair keeps its original list."""
         residents = list(self.instance.residents)
         for i in {r for r, _ in self.deleted}:
-            residents[i - 1] = PreferenceList.strict(self.res_lists[i - 1])
+            residents[i - 1] = PreferenceList(tuple(zip(self.res_lists[i - 1])))
         hospitals = list(self.instance.hospitals)
         for j in {h for _, h in self.deleted}:
-            groups = self.hosp_groups[j - 1]
-            hospitals[j - 1] = Hospital(
-                self.caps[j - 1], PreferenceList(tuple(tuple(g) for g in groups if g))
-            )
+            groups = tuple(map(tuple, filter(None, self.hosp_ties[j - 1])))
+            hospitals[j - 1] = Hospital(self.caps[j - 1], PreferenceList(groups))
         return Instance(residents=tuple(residents), hospitals=tuple(hospitals))
 
 
@@ -102,18 +134,18 @@ def hospitals_offer(instance: Instance) -> tuple[Instance, set[Pair]]:
 
     assigned: dict[int, int] = {}
     vacancies = list(work.caps)
-    # hospital index -> position of its first tie after the last one it offered
+    # hospital index -> slot of its first tie after the last one it offered
     cursor = [0] * instance.n2
     offers: dict[int, list[int]] = {}  # eligible hospital -> its active tie
 
     def refresh(j: int) -> None:
-        groups = work.hosp_groups[j - 1]
+        ties = work.hosp_ties[j - 1]
         pos = cursor[j - 1]
-        while pos < len(groups) and not groups[pos]:
+        while pos < len(ties) and not ties[pos]:
             pos += 1
         cursor[j - 1] = pos
-        if pos < len(groups) and len(groups[pos]) <= vacancies[j - 1]:
-            offers[j] = groups[pos]
+        if pos < len(ties) and len(ties[pos]) <= vacancies[j - 1]:
+            offers[j] = ties[pos]
         else:
             offers.pop(j, None)
 
@@ -125,16 +157,18 @@ def hospitals_offer(instance: Instance) -> tuple[Instance, set[Pair]]:
         # Only hospitals below j on a resident's list lose pairs, so j's own
         # tie stays intact while it is walked. A pulled resident's previous
         # hospital is one of them: it lost every hospital below it when it
-        # took the resident, and j still lists the resident.
+        # took the resident, and j still lists the resident. Of the others,
+        # only those that lose the resident from their active tie change.
         for r in offers[j]:
             previous = assigned.get(r)
             if previous is not None:
                 vacancies[previous - 1] += 1
+                changed.add(previous)
             assigned[r] = j
             vacancies[j - 1] -= 1
-            for successor in work.successors_on_resident_list(r, j):
-                work.delete_pair(r, successor)
-                changed.add(successor)
+            for h in work.cut_resident_list(r, j):
+                if work.hosp_ranks[h - 1][r] == cursor[h - 1]:
+                    changed.add(h)
         cursor[j - 1] += 1
         for h in changed:
             refresh(h)
@@ -147,6 +181,8 @@ def residents_apply(instance: Instance) -> tuple[Instance, set[Pair]]:
     work = _WorkingInstance(instance)
 
     holders: list[set[int]] = [set() for _ in range(instance.n2)]
+    # hospital index -> ranks of its provisional assignees, sorted
+    held_ranks: list[list[int]] = [[] for _ in range(instance.n2)]
     free = deque(range(1, instance.n1 + 1))
 
     while free:
@@ -157,22 +193,19 @@ def residents_apply(instance: Instance) -> tuple[Instance, set[Pair]]:
         j = prefs[0]
         held = holders[j - 1]
         held.add(r)
+        ranks = held_ranks[j - 1]
+        insort(ranks, work.hosp_ranks[j - 1][r])
         cap = work.caps[j - 1]
         if len(held) < cap:
             continue
-        groups = work.hosp_groups[j - 1]
-        if cap == 0:
-            # No assignee can ever be kept: every listed resident is cut.
-            threshold = -1
-        else:
-            tie_of = work.tie_of[j - 1]
-            threshold = sorted(tie_of[m] for m in held)[cap - 1]
-        doomed = [m for group in groups[threshold + 1 :] for m in group]
-        for victim in doomed:
+        # The rank of the capacity-th assignee; with no post, every listed
+        # resident is cut.
+        threshold = ranks[cap - 1] if cap else 0
+        del ranks[bisect_right(ranks, threshold) :]
+        for victim in work.cut_hospital_list(j, threshold):
             if victim in held:
                 held.remove(victim)
                 free.append(victim)
-            work.delete_pair(victim, j)
     return work.to_instance(), work.deleted
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxhrt.core import Matching, build_rank_table
+from maxhrt.core import Matching, PreferenceList, build_rank_table
 from maxhrt.instance_io import (
     ParseError,
     _parse_id,
@@ -17,6 +17,7 @@ from maxhrt.instance_io import (
 )
 
 from conftest import FIG1_TEXT, M1_PAIRS
+from reference_parser import reference_parse_instance
 from strategies import instances_strategy, matchings_for
 
 M1_TEXT = """\
@@ -173,6 +174,10 @@ def test_leading_zero_id_accepted():
     assert instance.acceptable_pairs() == [(1, 1)]
 
 
+def test_matching_leading_zero_id_accepted(fig1, m1):
+    assert parse_matching(M1_TEXT.replace("r1 h1", "r01 h001"), fig1) == m1
+
+
 @pytest.mark.parametrize("header", ["1² 1", "--1 1", "1 --1"])
 def test_header_with_non_integer_count_names_line(header):
     with pytest.raises(ParseError) as info:
@@ -256,9 +261,141 @@ def test_resident_side_one_sided_pair_warns_with_its_line():
                      "line 3: expected 'r<i> h<j>' or 'r<i> -', got 'r3 h3 h1'", id="malformed"),
         pytest.param(M1_TEXT.replace("r1 h1\nr2 h1", "r2 h1\nr1 h1"),
                      "line 1: expected r1 at this position, got 'r2'", id="resident-position"),
+        pytest.param(M1_TEXT.replace("r2 h1", "h2 h1"),
+                     "line 2: expected r<number>, got 'h2'", id="wrong-kind"),
+        pytest.param(M1_TEXT.replace("r4 h2", "r4 h4"),
+                     "line 4: unknown id 'h4' (valid: h1..h3)", id="unknown-hospital"),
+        pytest.param(M1_TEXT.replace("r5 h3", "r5 h\u0663"),
+                     "line 5: expected h<number>, got 'h\u0663'", id="non-ascii-digit"),
     ],
 )
 def test_malformed_matching_names_its_line(fig1, text, message):
     with pytest.raises(ParseError) as info:
         parse_matching(text, fig1)
     assert str(info.value) == message
+
+
+def test_agent_with_several_one_sided_entries_is_pruned_once(monkeypatch):
+    # r1 lists four hospitals that do not list it back: four warnings, in
+    # order, and one rebuild of its list.
+    rebuilt = []
+    without = PreferenceList.without
+
+    def counting_without(self, removed):
+        rebuilt.append(set(removed))
+        return without(self, removed)
+
+    monkeypatch.setattr(PreferenceList, "without", counting_without)
+    instance, warnings = parse_instance(
+        "1 5\nr1: h1 h2 ( h3 h4 ) h5\nh1: 1: r1\nh2: 1:\nh3: 1:\nh4: 1:\nh5: 1:\n"
+    )
+    assert [str(w) for w in warnings] == [
+        f"line 2: warning: pruned one-sided pair (r1, h{h}): h{h} does not list r1"
+        for h in (2, 3, 4, 5)
+    ]
+    assert rebuilt == [{2, 3, 4, 5}]
+    assert instance.residents[0].groups == ((1,),)
+
+
+def test_hospital_side_warnings_keep_pair_order():
+    # The warnings follow (resident, hospital) order, across hospital lines.
+    text = "2 2\nr1:\nr2:\nh1: 1: r1 r2\nh2: 1: r2 r1\n"
+    instance, warnings = parse_instance(text)
+    assert [w.line for w in warnings] == [4, 5, 4, 5]
+    assert (instance, warnings) == reference_parse_instance(text)
+    assert instance.acceptable_pairs() == []
+
+
+def _outcome(parse, text):
+    """What a parser makes of the text: its result, or its error's type and text."""
+    try:
+        return parse(text)
+    except Exception as exc:  # the two parsers must fail alike, whatever the error
+        return type(exc), str(exc)
+
+
+# Each mutation takes a line's tokens and the index of one of its id tokens,
+# and returns the line's new text.
+def _glue_brackets(tokens, k):
+    return " ".join(tokens).replace("( ", "(").replace(" )", ")")
+
+
+def _leading_zero(tokens, k):
+    tokens[k] = tokens[k][0] + "0" + tokens[k][1:]
+    return " ".join(tokens)
+
+
+def _non_ascii_digit(tokens, k):
+    tokens[k] = tokens[k][0] + "\u0661" + tokens[k][1:]
+    return " ".join(tokens)
+
+
+def _wrong_kind(tokens, k):
+    tokens[k] = {"r": "h", "h": "r"}[tokens[k][0]] + tokens[k][1:]
+    return " ".join(tokens)
+
+
+def _out_of_range(tokens, k):
+    number = "0" if k % 2 else "99"
+    tokens[k] = tokens[k][0] + number + tokens[k][-1] * tokens[k].endswith(":")
+    return " ".join(tokens)
+
+
+def _duplicate(tokens, k):
+    return " ".join(tokens + [tokens[k][0] + "0" + tokens[k][1:].rstrip(":")])
+
+
+def _empty_tie(tokens, k):
+    return " ".join(tokens + ["(", ")"])
+
+
+def _nested_tie(tokens, k):
+    return " ".join(tokens[:k] + ["(", "(", tokens[k], ")", ")"] + tokens[k + 1 :])
+
+
+def _unclosed_tie(tokens, k):
+    return " ".join(tokens[:k] + ["("] + tokens[k:])
+
+
+def _missing_colon(tokens, k):
+    # The last colon: the one after a resident's id, or a hospital's capacity.
+    head, _, rest = " ".join(tokens).rpartition(":")
+    return head + " " + rest
+
+
+def _drop_entry(tokens, k):
+    # An entry only one side lists, pruned with a warning unless k is the head.
+    return " ".join(tokens[:k] + tokens[k + 1 :])
+
+
+MUTATIONS = [
+    _glue_brackets,
+    _leading_zero,
+    _non_ascii_digit,
+    _wrong_kind,
+    _out_of_range,
+    _duplicate,
+    _empty_tie,
+    _nested_tie,
+    _unclosed_tie,
+    _missing_colon,
+    _drop_entry,
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_parse_instance_matches_reference(data):
+    text = serialize_instance(data.draw(instances_strategy(max_residents=8, max_hospitals=5)))
+    lines = text.split("\n")
+    for _ in range(data.draw(st.integers(1, 3))):
+        index = data.draw(st.integers(1, len(lines) - 2))  # a resident or hospital line
+        tokens = lines[index].split()
+        ids = [k for k, token in enumerate(tokens) if token[0] in "rh"]
+        if not ids:  # an earlier mutation left no id on this line
+            continue
+        k = data.draw(st.sampled_from(ids[::-1]))  # list entries before the head
+        mutation = data.draw(st.sampled_from(MUTATIONS))
+        lines[index] = mutation(tokens, k)
+    mutated = "\n".join(lines)
+    assert _outcome(parse_instance, mutated) == _outcome(reference_parse_instance, mutated)

@@ -1,6 +1,7 @@
 """Reduction passes: exact deletions on the example, preservation in general."""
 
 import random
+from collections import deque
 
 import pytest
 
@@ -93,6 +94,51 @@ def reference_hospitals_offer(instance):
     return reduced, deleted
 
 
+def reference_residents_apply(instance):
+    """Pass two as a plain loop, the reference for the fast pass.
+
+    Every time a hospital is full, it finds each assignee's tie by scanning
+    its ties, sorts them, and deletes the pairs after the capacity-th one,
+    one pair at a time.
+    """
+    res_lists = [list(p.entries()) for p in instance.residents]
+    hosp_groups = [[list(g) for g in h.preferences.groups] for h in instance.hospitals]
+    deleted = set()
+    holders = [set() for _ in range(instance.n2)]
+    free = deque(range(1, instance.n1 + 1))
+
+    def tie_position(j, r):
+        return next(k for k, group in enumerate(hosp_groups[j - 1]) if r in group)
+
+    while free:
+        r = free.popleft()
+        if not res_lists[r - 1]:
+            continue
+        j = res_lists[r - 1][0]
+        holders[j - 1].add(r)
+        cap = instance.hospitals[j - 1].capacity
+        if len(holders[j - 1]) < cap:
+            continue
+        positions = sorted(tie_position(j, m) for m in holders[j - 1])
+        threshold = positions[cap - 1] if cap > 0 else -1
+        for group in hosp_groups[j - 1][threshold + 1 :]:
+            for victim in list(group):
+                if victim in holders[j - 1]:
+                    holders[j - 1].remove(victim)
+                    free.append(victim)
+                res_lists[victim - 1].remove(j)
+                group.remove(victim)
+                deleted.add((victim, j))
+    reduced = Instance(
+        residents=tuple(PreferenceList.strict(lst) for lst in res_lists),
+        hospitals=tuple(
+            Hospital(h.capacity, PreferenceList(tuple(tuple(g) for g in groups if g)))
+            for h, groups in zip(instance.hospitals, hosp_groups)
+        ),
+    )
+    return reduced, deleted
+
+
 def _with_relabelings(instance, rng, count=3):
     """The instance and `count` relabelings of it, each offering in a new order."""
     return [instance] + [relabel(instance, rng)[0] for _ in range(count)]
@@ -127,6 +173,26 @@ def test_hospitals_offer_matches_reference_when_worst_assignee_is_pulled_away():
         assert hospitals_offer(variant) == reference_hospitals_offer(variant)
     _, deleted = hospitals_offer(instance)
     assert deleted == {(2, 1), (3, 3)}
+
+
+def test_residents_apply_matches_reference_on_random_instances():
+    rng = random.Random(4343)
+    for _ in range(60):
+        instance = random_hospital_ties_instance(rng, max_residents=12)
+        for variant in _with_relabelings(instance, rng):
+            assert residents_apply(variant) == reference_residents_apply(variant)
+
+
+@pytest.mark.parametrize("n1", [60, 150, 300])
+@pytest.mark.parametrize("tie_density", [0.0, 0.5, 0.85])
+def test_residents_apply_matches_reference_on_sfas_like(n1, tie_density):
+    # On the instance as generated and, as in the pipeline, after pass one.
+    instance = generate(sfas_like(n1, tie_density, seed=n1 + int(100 * tie_density)))
+    for variant in _with_relabelings(instance, random.Random(n1)):
+        for start in (variant, hospitals_offer(variant)[0]):
+            expected = reference_residents_apply(start)
+            assert residents_apply(start) == expected
+            assert expected[1]  # the pass does work on this preset
 
 
 def test_hospitals_offer_fig1_deletions(fig1):

@@ -8,12 +8,16 @@ matched residents with a zero relative gap. It does not read the model's
 rows: `tie_count_rows` builds the tie-count form of the same model from
 the pair index (Delorme et al., EJOR 2019), in which each hospital's
 prefix through a tie is one continuous column. The paper's stability row
-sums that prefix term by term, so its rows average about 40 nonzeros; the
-tie-count rows have a fifth to a quarter of the nonzeros in all, and
-HiGHS proves the pools' bound-limited instances 3-7 times sooner. When
-HiGHS proves an optimum, the child writes `Optimal` and the pair columns
-at 1 to a pipe; otherwise it writes nothing. It always leaves by
-`os._exit`.
+sums that prefix term by term, so its rows average about 40 nonzeros. On
+the pool instances that race, the tie-count form has 2.4-5.9 times fewer
+nonzeros (`sfas_like(200, .5, 4)`: 3 947 -> 1 631; two-sided-ties n1 = 150
+seed 0: 32 500 -> 5 473), and three more of them are proved within 3.5 s.
+HiGHS alone got slower on some (2-core x86-64): 0.17-0.22 -> 0.43-0.46 s
+on the bound-limited `sfas_like(100, .85, 7)`, 3.1 -> 5.7-6.2 s on
+two-sided-ties n1 = 150 seed 0, and 4.9-5.0 -> 10.2-10.7 s on
+`sfas_like(1000, .5, 1)`. When HiGHS proves an optimum, the child writes
+`Optimal` and the pair columns at 1 to a pipe; otherwise it writes
+nothing. It always leaves by `os._exit`.
 
 `poll` reads the optimum without blocking; `close` kills the child and
 reaps it, unless the host process has reaped it already. Without

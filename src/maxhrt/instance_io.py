@@ -158,7 +158,6 @@ def parse_instance(text: str) -> tuple[Instance, list[ParseDiagnostic]]:
     hosp_ids = _id_table("h", n2)
 
     res_lists: list[PreferenceList] = []
-    res_lines: list[int] = []
     for i in range(1, n1 + 1):
         num, line = lines[i]
         head, sep, body = line.partition(":")
@@ -167,11 +166,9 @@ def parse_instance(text: str) -> tuple[Instance, list[ParseDiagnostic]]:
         if _lookup_id(head.strip(), res_ids, "r", num) != i:
             raise ParseError(num, f"expected r{i} at this position, got {head.strip()!r}")
         res_lists.append(_parse_groups(_tokenize_list(body), hosp_ids, "h", num))
-        res_lines.append(num)
 
     capacities: list[int] = []
     hosp_lists: list[PreferenceList] = []
-    hosp_lines: list[int] = []
     for j in range(1, n2 + 1):
         num, line = lines[n1 + j]
         head, sep, rest = line.partition(":")
@@ -193,7 +190,6 @@ def parse_instance(text: str) -> tuple[Instance, list[ParseDiagnostic]]:
             raise ParseError(num, f"capacity must be non-negative, got {capacity}")
         capacities.append(capacity)
         hosp_lists.append(_parse_groups(_tokenize_list(body), res_ids, "r", num))
-        hosp_lines.append(num)
 
     # Prune one-sided entries so that acceptability is mutual.
     res_only, hosp_only = one_sided_pairs(res_lists, hosp_lists)
@@ -202,7 +198,7 @@ def parse_instance(text: str) -> tuple[Instance, list[ParseDiagnostic]]:
     for i, h in sorted(res_only):
         warnings.append(
             ParseDiagnostic(
-                res_lines[i - 1], f"pruned one-sided pair (r{i}, h{h}): h{h} does not list r{i}"
+                lines[i][0], f"pruned one-sided pair (r{i}, h{h}): h{h} does not list r{i}"
             )
         )
         res_removed.setdefault(i, set()).add(h)
@@ -210,7 +206,7 @@ def parse_instance(text: str) -> tuple[Instance, list[ParseDiagnostic]]:
     for r, j in sorted(hosp_only):
         warnings.append(
             ParseDiagnostic(
-                hosp_lines[j - 1], f"pruned one-sided pair (r{r}, h{j}): r{r} does not list h{j}"
+                lines[n1 + j][0], f"pruned one-sided pair (r{r}, h{j}): r{r} does not list h{j}"
             )
         )
         hosp_removed.setdefault(j, set()).add(r)

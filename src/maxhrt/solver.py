@@ -10,33 +10,33 @@
    `heuristics.promotion_starts`) are tried, each before the deadline, and
    the largest is kept: seeds 0 to PROMOTION_TRIES - 1. Beyond seed 0 a
    seed also shuffles the proposal order, so the tries differ even where
-   every resident's list is strict. An incumbent
-   that meets the root bound is optimal, proved at the root node. An
-   incumbent one below it leaves only maximum placements of the
-   relaxation to find, so the root fixes to 0 every pair in none of them
-   and to 1 every pair in all of them, read off the Dulmage-Mendelsohn
-   structure of one maximum placement (as in Régin's matching-based
-   filtering), then propagates and recomputes the bound until nothing new
-   is fixed. A failed propagation, or a bound that drops to the
-   incumbent, proves the incumbent optimal at the root. These fixings
-   are made before the search's first branch and are never undone.
+   every resident's list is strict. An incumbent that meets the root bound
+   is optimal, proved at the root node. An incumbent one below it leaves
+   only maximum placements of the relaxation to find, so the root fixes to
+   0 every pair in none of them and to 1 every pair in all of them, read
+   off the Dulmage-Mendelsohn structure of one maximum placement (as in
+   Régin's matching-based filtering), then propagates and recomputes the
+   bound until nothing new is fixed. A failed propagation, or a bound that
+   drops to the incumbent, proves the incumbent optimal at the root. These
+   fixings are made before the search's first branch and are never undone.
 3. **Branch and bound**, depth first. Branching picks an unfixed pair of a
    currently unmatched resident, following the relaxation's placement
    (best resident rank first, ties broken by a fixed permutation of the
-   pairs), and tries x=1 first. A node whose fresh placement offers no
-   unfixed pair is closed: its bound is the number of residents already
-   matched, reached only by the zero completion, which propagation has
-   already stored or rejected. Propagation applies the
-   one-hospital-per-resident and capacity rows eagerly; stability rows
-   are read as "the resident gets this hospital or better, or the
-   hospital fills up with residents it ranks at least as high", which
-   yields both conflict detection and unit-style forcing. Each round of
-   propagation rescans only the hospitals whose rows' inputs changed: a
-   fixing or undo on resident i's pairs marks every hospital on i's list.
-   Subtrees are pruned against the relaxation, which repairs the previous
-   node's placement (fixed residents moved in, pairs fixed to 0 and
-   overfull hospitals cleared) and then augments only the residents left
-   unplaced, so the bound is exact integral arithmetic throughout.
+   pairs), and tries x=1 first. The stack holds a (trail mark, column)
+   entry for each node whose x=0 branch is untried. A node whose fresh
+   placement offers no unfixed pair is closed: its bound is the number of
+   residents already matched, reached only by the zero completion, which
+   propagation has already stored or rejected. Propagation applies the
+   one-hospital-per-resident and capacity rows eagerly; stability rows are
+   read as "the resident gets this hospital or better, or the hospital
+   fills up with residents it ranks at least as high", which yields both
+   conflict detection and unit-style forcing. Each round of propagation
+   rescans only the hospitals whose rows' inputs changed: a fixing or undo
+   on resident i's pairs marks every hospital on i's list. Subtrees are
+   pruned against the relaxation, which repairs the previous node's
+   placement (fixed residents moved in, pairs fixed to 0 and overfull
+   hospitals cleared) and then augments only the residents left unplaced,
+   so the bound is exact integral arithmetic throughout.
 4. **Race.** A search still open after ESCALATE_AFTER_NODES nodes forks a
    child that runs HiGHS within the time left (see `highs`). The child
    builds the model's tie-count form from the pair index, with one
@@ -497,47 +497,35 @@ class _Search:
         if self.incumbent_size == root_bound - 1 and self._fix_tight_root():
             root_bound = self.incumbent_size  # no better matching is left
         timed_out = False
-
-        if self.incumbent_size < root_bound:
-            stack: list[list[int]] = []
-            while True:
-                if self.incumbent_size >= root_bound:
-                    break  # incumbent meets the global relaxation: proven optimal
-                if time.monotonic() > deadline:
-                    timed_out = True
-                    break
-                if self.nodes >= ESCALATE_AFTER_NODES and self._race(root_bound, deadline):
-                    break  # HiGHS, or a promotion start at the bound, proved the incumbent
-                v = self._select_var()
-                expand = False
-                if v >= 0:
-                    b0 = self._quick_bound()
-                    best = self.incumbent_size
-                    if b0 > best and (b0 - best > 2 or self._relaxation_bound() > best):
-                        expand = True
-                if expand:
-                    stack.append([len(self.trail), v, 0])
+        stack: list[tuple[int, int]] = []
+        while self.incumbent_size < root_bound:  # an incumbent at the root bound is optimal
+            if time.monotonic() > deadline:
+                timed_out = True
+                break
+            if self.nodes >= ESCALATE_AFTER_NODES and self._race(root_bound, deadline):
+                break  # HiGHS, or a promotion start at the bound, proved the incumbent
+            v = self._select_var()
+            if v >= 0:
+                b0 = self._quick_bound()
+                best = self.incumbent_size
+                if b0 > best and (b0 - best > 2 or self._relaxation_bound() > best):
+                    stack.append((len(self.trail), v))
                     self.nodes += 1
                     if self._propagate([(v, 1)]):
                         continue
-                descended = False
-                while stack:
-                    mark, var, phase = stack[-1]
-                    self._undo_to(mark)
-                    if phase == 0:
-                        stack[-1][2] = 1
-                        self.nodes += 1
-                        if self._propagate([(var, 0)]):
-                            descended = True
-                            break
-                    stack.pop()
-                if not descended:
+            while stack:
+                mark, var = stack.pop()
+                self._undo_to(mark)
+                self.nodes += 1
+                if self._propagate([(var, 0)]):
                     break
+            else:
+                break  # every branch is closed: the incumbent is optimal
 
         if self.incumbent is None:
             raise SolverInternalError("no incumbent at exit")
         status = SolveStatus.FEASIBLE_TIMEOUT if timed_out else SolveStatus.OPTIMAL
-        proof = self.incumbent_size if not timed_out else max(root_bound, self.incumbent_size)
+        proof = root_bound if timed_out else self.incumbent_size  # a timeout is below root_bound
         return SolveOutcome(
             status=status,
             matching=self.incumbent,

@@ -185,12 +185,20 @@ def test_header_with_non_integer_count_names_line(header):
     assert str(info.value) == f"line 2: malformed header {header!r}, expected '<n1> <n2>'"
 
 
-@pytest.mark.parametrize("capacity", ["²", "--1", "(--1)"])
+@pytest.mark.parametrize("capacity", ["²", "--1", "(--1)", "()"])
 def test_capacity_that_is_not_an_integer_names_line(capacity):
     with pytest.raises(ParseError) as info:
         parse_instance(f"1 1\nr1: h1\nh1: {capacity}: r1\n")
     token = capacity.strip("()")
     assert str(info.value) == f"line 3: capacity must be an integer, got {token!r}"
+
+
+@pytest.mark.parametrize("capacity", ["(2)", "( 2 )"])
+def test_figure_style_capacity_accepted(capacity):
+    instance, warnings = parse_instance(f"1 1\nr1: h1\nh1: {capacity}: r1\n")
+    assert warnings == []
+    assert instance.capacity(1) == 2
+    assert serialize_instance(instance) == "1 1\nr1: h1\nh1: 2: r1\n"
 
 
 def test_negative_header_count_and_capacity_keep_their_messages():

@@ -145,6 +145,23 @@ def test_deterministic():
     assert first.matching == second.matching
 
 
+# The search alone (race off) pins its node count exactly, so a refactor
+# that should explore the same tree shows it did. A change that moves a
+# count updates it here and says why in CHANGES.md.
+@pytest.mark.parametrize(
+    "n1, tie_density, seed, objective, nodes",
+    [(150, 0.5, 7, 149, 11), (300, 0.5, 5, 296, 117), (200, 0.5, 3, 198, 1881),
+     (150, 0.5, 2, 146, 2875)],
+)
+def test_search_node_counts(n1, tie_density, seed, objective, nodes, monkeypatch):
+    monkeypatch.setattr("maxhrt.solver.ESCALATE_AFTER_NODES", 10**9)
+    instance = generate(sfas_like(n1, tie_density, seed))
+    outcome = solve(_pipeline_model(instance), SolveOptions(time_limit=30.0))
+    assert outcome.status is SolveStatus.OPTIMAL
+    assert (outcome.objective, outcome.nodes) == (objective, nodes)
+    assert certify(instance, build_rank_table(instance), outcome.matching) is None
+
+
 def test_relabeled_objective_matches_oracle():
     # Relabeling reorders the reductions, the warm start's tie-breaking and
     # the search's branching; the optimum must not move.

@@ -3,22 +3,24 @@
 1. **Warm start.** A weakly stable matching (tie-breaking plus deferred
    acceptance, computed if not supplied) is the first incumbent, so a
    cutoff at any point still returns a matching.
-2. **Root.** The same on every instance. Propagation runs with nothing
-   fixed, then the root bound is a capacitated bipartite matching
-   relaxation that ignores stability rows. While the incumbent is below
-   it, promotion starts (Király's deferred acceptance,
-   `heuristics.promotion_starts`) are tried, each before the deadline, and
-   the largest is kept: seeds 0 to PROMOTION_TRIES - 1. Beyond seed 0 a
-   seed also shuffles the proposal order, so the tries differ even where
-   every resident's list is strict. An incumbent that meets the root bound
-   is optimal, proved at the root node. An incumbent one below it leaves
-   only maximum placements of the relaxation to find, so the root fixes to
-   0 every pair in none of them and to 1 every pair in all of them, read
-   off the Dulmage-Mendelsohn structure of one maximum placement (as in
-   Régin's matching-based filtering), then propagates and recomputes the
-   bound until nothing new is fixed. A failed propagation, or a bound that
-   drops to the incumbent, proves the incumbent optimal at the root. These
-   fixings are made before the search's first branch and are never undone.
+2. **Root.** A warm start that matches every resident with a column is
+   optimal by counting, and the root returns it before propagating.
+   Otherwise propagation runs with nothing fixed, then the root bound is a
+   capacitated bipartite matching relaxation that ignores stability rows.
+   While the incumbent is below it, promotion starts (Király's deferred
+   acceptance, `heuristics.promotion_starts`) are tried, each before the
+   deadline, and the largest is kept: seeds 0 to PROMOTION_TRIES - 1.
+   Beyond seed 0 a seed also shuffles the proposal order, so the tries
+   differ even where every resident's list is strict. An incumbent that
+   meets the root bound is optimal, proved at the root node. An incumbent
+   one below it leaves only maximum placements of the relaxation to find,
+   so the root fixes to 0 every pair in none of them and to 1 every pair in
+   all of them, read off the Dulmage-Mendelsohn structure of one maximum
+   placement (as in Régin's matching-based filtering), then propagates and
+   recomputes the bound until nothing new is fixed. A failed propagation,
+   or a bound that drops to the incumbent, proves the incumbent optimal at
+   the root. These fixings are made before the search's first branch and
+   are never undone.
 3. **Branch and bound**, depth first. Branching picks an unfixed pair of a
    currently unmatched resident, following the relaxation's placement
    (best resident rank first, ties broken by a fixed permutation of the
@@ -72,6 +74,7 @@ relaxation as the surviving proof bound.
 from __future__ import annotations
 
 import enum
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -143,10 +146,6 @@ class _Search:
         self.res_vars = model.res_columns
         self.hosp_vars = model.hosp_columns
 
-        # the branching tie-break: a fixed permutation of the columns
-        self.priority = list(range(nvars))
-        random.Random(0).shuffle(self.priority)
-
         self.state = [_UNFIXED] * nvars
         self.trail: list[int] = []
         self.res_match = [-1] * self.n1
@@ -180,6 +179,13 @@ class _Search:
         # promotion starts: the seed -> matching function, built at the first try
         self.promote: Callable[[int], Matching] | None = None
         self.next_seed = 0
+
+    @functools.cached_property
+    def priority(self) -> list[int]:
+        """The branching tie-break: a fixed permutation of the columns."""
+        priority = list(range(self.model.num_variables))
+        random.Random(0).shuffle(priority)
+        return priority
 
     # -- state updates ----------------------------------------------------
 
@@ -395,6 +401,7 @@ class _Search:
     # -- bounding -----------------------------------------------------------
 
     def _quick_bound(self) -> int:
+        """Matched residents plus unmatched ones with an open column: bounds every completion."""
         total = self.total_ones
         res_match = self.res_match
         res_nonzero = self.res_nonzero
@@ -432,6 +439,7 @@ class _Search:
     def _select_guided(self) -> int:
         """Unfixed pair of an unmatched resident along the relaxation guide."""
         state = self.state
+        priority = self.priority  # a cached property: slower to read on self
         best = -1
         best_key = (_BIG, _BIG)
         for i in range(self.n1):
@@ -440,7 +448,7 @@ class _Search:
             col = self.guide[i]
             if col < 0 or state[col] != _UNFIXED:
                 continue
-            key = (self.var_rrank[col], self.priority[col])
+            key = (self.var_rrank[col], priority[col])
             if key < best_key:
                 best_key = key
                 best = col
@@ -489,13 +497,16 @@ class _Search:
     def _run(self) -> SolveOutcome:
         start = time.monotonic()
         deadline = start + self.options.time_limit
-        if not self._propagate([]):
-            raise SolverInternalError("root propagation found no stable matching")
         self.nodes = 1
-        root_bound = self._relaxation_bound()
-        self._try_seeds(root_bound, deadline, PROMOTION_TRIES)
-        if self.incumbent_size == root_bound - 1 and self._fix_tight_root():
-            root_bound = self.incumbent_size  # no better matching is left
+        if self._quick_bound() <= self.incumbent_size:
+            root_bound = self.incumbent_size  # every resident with a column is matched
+        else:
+            if not self._propagate([]):
+                raise SolverInternalError("root propagation found no stable matching")
+            root_bound = self._relaxation_bound()
+            self._try_seeds(root_bound, deadline, PROMOTION_TRIES)
+            if self.incumbent_size == root_bound - 1 and self._fix_tight_root():
+                root_bound = self.incumbent_size  # no better matching is left
         timed_out = False
         stack: list[tuple[int, int]] = []
         while self.incumbent_size < root_bound:  # an incumbent at the root bound is optimal

@@ -516,13 +516,16 @@ def test_never_claims_beyond_highs(config, monkeypatch):
 # Gale-Shapley warm start falls short and the search alone once timed out.
 # The root's promotion starts find the optimum before branching (on
 # (200, 0.85, 8) at seed 12), so the proof needs one node; the time limit is
-# far above what that takes.
+# far above what that takes. On (300, 0.5, 7) all 300 residents have a
+# column but the root bound is 297, so a root that took the count for its
+# bound would search instead.
 @pytest.mark.parametrize(
     "config, optimum",
     [pytest.param(sfas_like(300, 0.85, 8), 300, id="sfas-300-0.85-8"),
      pytest.param(sfas_like(200, 0.85, 8), 200, id="sfas-200-0.85-8"),
      pytest.param(GeneratorConfig(150, 10, 150, 5, 0.3, 0.5, seed=7), 150,
-                  id="two-sided-150-7")],
+                  id="two-sided-150-7"),
+     pytest.param(sfas_like(300, 0.5, 7), 297, id="sfas-300-0.5-7")],
 )
 def test_primal_phase_proves_at_root(config, optimum):
     instance = generate(config)
@@ -532,6 +535,37 @@ def test_primal_phase_proves_at_root(config, optimum):
     assert outcome.status is SolveStatus.OPTIMAL
     assert outcome.nodes == 1
     assert outcome.objective == outcome.proof_bound == optimum
+    assert certify(instance, build_rank_table(instance), outcome.matching) is None
+
+
+# A warm start that matches every resident with a column is optimal by
+# counting: the root returns it at once, without propagating, bounding,
+# trying a seed or building the branching order. The first model is reduced
+# (count 294), the second unreduced, since its residents have ties (count 150).
+@pytest.mark.parametrize(
+    "config",
+    [pytest.param(sfas_like(300, 0.0, 0), id="sfas-300-0.0-0"),
+     pytest.param(GeneratorConfig(150, 10, 150, 5, 0.3, 0.5, seed=2), id="two-sided-150-2")],
+)
+def test_warm_start_matching_every_resident_with_a_column_returns_at_once(
+    config, monkeypatch
+):
+    def refuse(*args):
+        raise AssertionError("the count proves the warm start optimal")
+
+    for name in ("_propagate", "_relaxation_bound", "_try_seeds"):
+        monkeypatch.setattr(_Search, name, refuse)
+    monkeypatch.setattr(_Search, "priority", property(refuse), raising=False)
+    instance = generate(config)
+    model = _pipeline_model(instance)
+    count = sum(1 for columns in model.res_columns if columns)
+    warm = warm_start(model.instance)
+    assert len(warm) == count
+    outcome = solve(model)
+    assert outcome.status is SolveStatus.OPTIMAL
+    assert outcome.nodes == 1
+    assert outcome.objective == outcome.proof_bound == count
+    assert outcome.matching == warm
     assert certify(instance, build_rank_table(instance), outcome.matching) is None
 
 

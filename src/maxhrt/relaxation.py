@@ -31,6 +31,12 @@ def max_placement(
     augmenting-path search over its columns not fixed to 0. By Kuhn's
     argument the result is maximum whatever the start. `place` is updated
     in place; returns the number placed.
+
+    Two shortcuts leave the placement unchanged. A holder with one column
+    is not pushed: that column's hospital is the one just visited. A failed
+    search leaves the hospitals it visited full, each movable holder
+    listing only hospitals among them, so no later path can enter them:
+    they stay dead for the rest of the call.
     """
     n2 = len(caps)
     holders: list[list[int]] = [[] for _ in range(n2)]
@@ -47,7 +53,8 @@ def max_placement(
         else:
             holders[j].append(i)
 
-    visited = [0] * n2
+    visited = [0] * n2  # stamp of the search that visited it; `dead` once one failed
+    dead = len(place) + 1  # above every stamp
     stamp = 0
 
     def augment(root: int) -> bool:
@@ -56,9 +63,10 @@ def max_placement(
         # still to try, the column being tried and that hospital's holders
         # still to try.
         frames = [[root, iter(res_vars[root]), -1, iter(())]]
+        seen: list[int] = []
         while frames:
             frame = frames[-1]
-            p = next((p for p in frame[3] if res_match[p] < 0), -1)
+            p = next((p for p in frame[3] if res_match[p] < 0 and len(res_vars[p]) > 1), -1)
             if p >= 0:
                 frames.append([p, iter(res_vars[p]), -1, iter(())])
                 continue
@@ -67,9 +75,10 @@ def max_placement(
                 if state[col] == 0:
                     continue
                 j = var_hosp[col]
-                if visited[j] == stamp:
+                if visited[j] >= stamp:
                     continue
                 visited[j] = stamp
+                seen.append(j)
                 if len(holders[j]) < caps[j]:
                     # a spare post: each resident on the path takes its column
                     holders[j].append(i)
@@ -88,6 +97,8 @@ def max_placement(
                 break
             else:
                 frames.pop()
+        for j in seen:
+            visited[j] = dead
         return False
 
     placed = 0

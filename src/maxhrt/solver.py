@@ -5,22 +5,25 @@
    cutoff at any point still returns a matching.
 2. **Root.** A warm start that matches every resident with a column is
    optimal by counting, and the root returns it before propagating.
-   Otherwise propagation runs with nothing fixed, then the root bound is a
-   capacitated bipartite matching relaxation that ignores stability rows.
-   While the incumbent is below it, promotion starts (Király's deferred
-   acceptance, `heuristics.promotion_starts`) are tried, each before the
-   deadline, and the largest is kept: seeds 0 to PROMOTION_TRIES - 1.
-   Beyond seed 0 a seed also shuffles the proposal order, so the tries
-   differ even where every resident's list is strict. An incumbent that
-   meets the root bound is optimal, proved at the root node. An incumbent
-   one below it leaves only maximum placements of the relaxation to find,
-   so the root fixes to 0 every pair in none of them and to 1 every pair in
-   all of them, read off the Dulmage-Mendelsohn structure of one maximum
-   placement (as in Régin's matching-based filtering), then propagates and
-   recomputes the bound until nothing new is fixed. A failed propagation,
-   or a bound that drops to the incumbent, proves the incumbent optimal at
-   the root. These fixings are made before the search's first branch and
-   are never undone.
+   Otherwise the root bound is a capacitated bipartite matching relaxation
+   that ignores stability rows, grown from the incumbent's placement with
+   nothing fixed. While the incumbent is below it, promotion starts
+   (Király's deferred acceptance, `heuristics.promotion_starts`) are
+   tried, each before the deadline, and the largest is kept: seeds 0 to
+   PROMOTION_TRIES - 1. Beyond seed 0 a seed also shuffles the proposal
+   order, so the tries differ even where every resident's list is strict.
+   Propagation only fixes pairs, so an incumbent that meets this bound is
+   optimal, proved at the root node. Only a root the seeds leave open runs
+   propagation with nothing fixed (and only there does a failed one raise
+   `SolverInternalError`), then takes the bound again from a fresh
+   placement. An incumbent one below it leaves only maximum placements of
+   the relaxation to find, so the root fixes to 0 every pair in none of
+   them and to 1 every pair in all of them, read off the Dulmage-Mendelsohn
+   structure of one maximum placement (as in Régin's matching-based
+   filtering), then propagates and recomputes the bound until nothing new
+   is fixed. A failed propagation, or a bound that drops to the incumbent,
+   proves the incumbent optimal at the root. These fixings are made before
+   the search's first branch and are never undone.
 3. **Branch and bound**, depth first. Branching picks an unfixed pair of a
    currently unmatched resident, following the relaxation's placement
    (best resident rank first, ties broken by a fixed permutation of the
@@ -501,12 +504,19 @@ class _Search:
         if self._quick_bound() <= self.incumbent_size:
             root_bound = self.incumbent_size  # every resident with a column is matched
         else:
-            if not self._propagate([]):
-                raise SolverInternalError("root propagation found no stable matching")
+            for r, h in self.incumbent.assignment.items():
+                self.guide[r - 1] = next(
+                    c for c in self.res_vars[r - 1] if self.var_hosp[c] == h - 1
+                )
             root_bound = self._relaxation_bound()
             self._try_seeds(root_bound, deadline, PROMOTION_TRIES)
-            if self.incumbent_size == root_bound - 1 and self._fix_tight_root():
-                root_bound = self.incumbent_size  # no better matching is left
+            if self.incumbent_size < root_bound:
+                if not self._propagate([]):
+                    raise SolverInternalError("root propagation found no stable matching")
+                self.guide = [-1] * self.n1  # the search starts from a fresh placement
+                root_bound = self._relaxation_bound()
+                if self.incumbent_size == root_bound - 1 and self._fix_tight_root():
+                    root_bound = self.incumbent_size  # no better matching is left
         timed_out = False
         stack: list[tuple[int, int]] = []
         while self.incumbent_size < root_bound:  # an incumbent at the root bound is optimal

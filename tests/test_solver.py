@@ -40,6 +40,7 @@ from maxhrt.solver import (
 
 from conftest import M1_PAIRS, column_of, encode
 from oracle import OracleLimit, max_stable_size
+from reference_placement import reference_max_placement
 from strategies import instances_strategy, relabel
 
 
@@ -601,6 +602,44 @@ def test_tight_root_fixings_prove_in_few_nodes():
     assert certify(instance, build_rank_table(instance), outcome.matching) is None
 
 
+# Roots the count leaves open but the placement grown from the warm start
+# closes: the seeds meet it, so the root never propagates. (300, 0.5, 7)
+# reaches 297 at seed 0 with all 300 residents holding a column, so a seed
+# target above the bound would spend every try; the two-sided instance needs
+# seeds 0-10; on (100, 0.5, 7) the warm start already meets the bound.
+@pytest.mark.parametrize(
+    "config, optimum, seeds",
+    [pytest.param(sfas_like(300, 0.5, 7), 297, [0], id="sfas-300-0.5-7"),
+     pytest.param(GeneratorConfig(200, 14, 200, 5, 0.3, 0.5, seed=3), 200, list(range(11)),
+                  id="two-sided-200-3"),
+     pytest.param(sfas_like(100, 0.5, 7), 97, [], id="sfas-100-0.5-7")],
+)
+def test_seeds_close_the_root_before_propagation(config, optimum, seeds, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the seeds prove the root before propagation")
+
+    tried = []
+
+    def counted(instance):
+        start = promotion_starts(instance)
+
+        def promote(seed):
+            tried.append(seed)
+            return start(seed)
+
+        return promote
+
+    monkeypatch.setattr(_Search, "_propagate", refuse)
+    monkeypatch.setattr("maxhrt.solver.promotion_starts", counted)
+    instance = generate(config)
+    outcome = solve(_pipeline_model(instance), SolveOptions(time_limit=60.0))
+    assert outcome.status is SolveStatus.OPTIMAL
+    assert outcome.nodes == 1
+    assert outcome.objective == outcome.proof_bound == optimum
+    assert tried == seeds
+    assert certify(instance, build_rank_table(instance), outcome.matching) is None
+
+
 # Small instances where the root's promotion starts end one below the root
 # bound and the root's fixings alone prove the incumbent (7 and 15 nodes
 # without them); the second has ties on the residents' side.
@@ -780,6 +819,52 @@ def test_long_augmenting_path_chain():
     assert outcome.status is SolveStatus.OPTIMAL
     assert outcome.objective == outcome.proof_bound == n - 1
     assert outcome.nodes == 1
+
+
+def _placement_case(rng):
+    """A random small relaxation: ties on both sides, some columns fixed to
+    0, some residents pinned within capacity, and a random start."""
+    n1, n2 = rng.randint(2, 12), rng.randint(2, 6)
+    instance = generate(
+        GeneratorConfig(
+            n1=n1,
+            n2=n2,
+            total_posts=rng.randint(1, n1),
+            list_length=rng.randint(1, n2),
+            tie_density_residents=rng.choice([0.0, 0.4, 1.0]),
+            tie_density_hospitals=rng.choice([0.0, 0.4, 1.0]),
+            seed=rng.randrange(10**9),
+        )
+    )
+    model = _model(instance)
+    caps = [instance.capacity(j) for j in range(1, n2 + 1)]
+    var_hosp = [j - 1 for _, j in model.pairs]
+    res_vars = model.res_columns
+    state = [0 if rng.random() < 0.15 else _UNFIXED for _ in model.pairs]
+    res_match = [-1] * n1
+    load = [0] * n2
+    for i in rng.sample(range(n1), n1):
+        free = [c for c in res_vars[i] if state[c] != 0 and load[var_hosp[c]] < caps[var_hosp[c]]]
+        if free and rng.random() < 0.2:
+            col = rng.choice(free)
+            res_match[i] = col
+            load[var_hosp[col]] += 1
+            for c in res_vars[i]:
+                state[c] = 1 if c == col else 0
+    place = [rng.choice(cols) if cols and rng.random() < 0.5 else -1 for cols in res_vars]
+    return caps, var_hosp, res_vars, state, res_match, place
+
+
+def test_max_placement_matches_the_reference():
+    # The shortcuts (holders with one column are not pushed, and hospitals a
+    # failed search visited stay dead) must leave the placement as it was.
+    rng = random.Random(1308)
+    for case in range(3000):
+        caps, var_hosp, res_vars, state, res_match, place = _placement_case(rng)
+        expected = list(place)
+        size = reference_max_placement(caps, var_hosp, res_vars, state, res_match, expected)
+        assert max_placement(caps, var_hosp, res_vars, state, res_match, place) == size, case
+        assert place == expected, case
 
 
 # -- the race against HiGHS in a child process --------------------------------

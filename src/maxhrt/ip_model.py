@@ -111,10 +111,11 @@ def build_model(instance: Instance, ranks: RankTable) -> IpModel:
     for col, (i, j) in enumerate(pairs):
         res_columns[i - 1].append(col)
         hosp_columns[j - 1].append(col)
-    # best first; sort() is stable, so a tie's members stay in column order
-    for lists, rank in ((res_columns, res_rank), (hosp_columns, hosp_rank)):
-        for cols in lists:
-            cols.sort(key=rank.__getitem__)
+    # best first: acceptable_pairs() walks each resident's list best group
+    # first, so only the hospitals' columns need sorting; sort() is stable,
+    # so a tie's members stay in column order
+    for cols in hosp_columns:
+        cols.sort(key=hosp_rank.__getitem__)
     return IpModel(
         instance=instance,
         pairs=pairs,

@@ -3,27 +3,29 @@
 1. **Warm start.** A weakly stable matching (tie-breaking plus deferred
    acceptance, computed if not supplied) is the first incumbent, so a
    cutoff at any point still returns a matching.
-2. **Root.** A warm start that matches every resident with a column is
-   optimal by counting, and the root returns it before propagating.
-   Otherwise the root bound is a capacitated bipartite matching relaxation
-   that ignores stability rows, grown from the incumbent's placement with
-   nothing fixed. While the incumbent is below it, promotion starts
-   (Király's deferred acceptance, `heuristics.promotion_starts`) are
-   tried, each before the deadline, and the largest is kept: seeds 0 to
-   PROMOTION_TRIES - 1. Beyond seed 0 a seed also shuffles the proposal
-   order, so the tries differ even where every resident's list is strict.
-   Propagation only fixes pairs, so an incumbent that meets this bound is
-   optimal, proved at the root node. Only a root the seeds leave open runs
-   propagation with nothing fixed (and only there does a failed one raise
-   `SolverInternalError`), then takes the bound again from a fresh
-   placement. An incumbent one below it leaves only maximum placements of
-   the relaxation to find, so the root fixes to 0 every pair in none of
-   them and to 1 every pair in all of them, read off the Dulmage-Mendelsohn
-   structure of one maximum placement (as in Régin's matching-based
-   filtering), then propagates and recomputes the bound until nothing new
-   is fixed. A failed propagation, or a bound that drops to the incumbent,
-   proves the incumbent optimal at the root. These fixings are made before
-   the search's first branch and are never undone.
+2. **Root.** Four stages, each run only while the incumbent is below the
+   root bound; propagation only fixes pairs, so an incumbent that meets the
+   bound is optimal, proved at the root node.
+   a. The first bound counts the residents with a column, so a warm start
+      that matches all of them returns before anything is propagated.
+   b. The bound becomes a capacitated bipartite matching relaxation that
+      ignores stability rows, grown from the incumbent's placement with
+      nothing fixed. Promotion starts (Király's deferred acceptance,
+      `heuristics.promotion_starts`) are tried, each before the deadline,
+      and the largest is kept: seeds 0 to PROMOTION_TRIES - 1. Beyond seed
+      0 a seed also shuffles the proposal order, so the tries differ even
+      where every resident's list is strict.
+   c. Propagation with nothing fixed (only here does a failed one raise
+      `SolverInternalError`), then the bound again from a fresh placement.
+   d. An incumbent one below the bound leaves only maximum placements of
+      the relaxation to find, so the root fixes to 0 every pair in none of
+      them and to 1 every pair in all of them, read off the
+      Dulmage-Mendelsohn structure of one maximum placement (as in Régin's
+      matching-based filtering), then propagates and recomputes the bound
+      until nothing new is fixed. A failed propagation, or a bound that
+      drops to the incumbent, proves the incumbent optimal at the root.
+      These fixings are made before the search's first branch and are
+      never undone.
 3. **Branch and bound**, depth first. Branching picks an unfixed pair of a
    currently unmatched resident, following the relaxation's placement
    (best resident rank first, ties broken by a fixed permutation of the
@@ -426,19 +428,6 @@ class _Search:
             self.state, self.res_match, self.guide,
         )
 
-    def _fix_tight_root(self) -> bool:
-        """Fix what every maximum placement agrees on, to a fixpoint.
-
-        Called at a root whose incumbent is one below the relaxation, where
-        any better matching is a maximum placement. Returns whether the
-        fixings prove the incumbent optimal: propagation fails, or the
-        relaxation drops to the incumbent.
-        """
-        while fixings := self._structural_fixings():
-            if not self._propagate(fixings) or self._relaxation_bound() <= self.incumbent_size:
-                return True
-        return False
-
     def _select_guided(self) -> int:
         """Unfixed pair of an unmatched resident along the relaxation guide."""
         state = self.state
@@ -501,22 +490,25 @@ class _Search:
         start = time.monotonic()
         deadline = start + self.options.time_limit
         self.nodes = 1
-        if self._quick_bound() <= self.incumbent_size:
-            root_bound = self.incumbent_size  # every resident with a column is matched
-        else:
+        root_bound = self._quick_bound()  # the residents with a column
+        if self.incumbent_size < root_bound:
             for r, h in self.incumbent.assignment.items():
                 self.guide[r - 1] = next(
                     c for c in self.res_vars[r - 1] if self.var_hosp[c] == h - 1
                 )
             root_bound = self._relaxation_bound()
             self._try_seeds(root_bound, deadline, PROMOTION_TRIES)
-            if self.incumbent_size < root_bound:
-                if not self._propagate([]):
-                    raise SolverInternalError("root propagation found no stable matching")
-                self.guide = [-1] * self.n1  # the search starts from a fresh placement
-                root_bound = self._relaxation_bound()
-                if self.incumbent_size == root_bound - 1 and self._fix_tight_root():
+        if self.incumbent_size < root_bound:
+            if not self._propagate([]):
+                raise SolverInternalError("root propagation found no stable matching")
+            self.guide = [-1] * self.n1  # the search starts from a fresh placement
+            root_bound = self._relaxation_bound()
+        if self.incumbent_size == root_bound - 1:
+            # any better matching is a maximum placement: fix what they all agree on
+            while fixings := self._structural_fixings():
+                if not self._propagate(fixings) or self._relaxation_bound() <= self.incumbent_size:
                     root_bound = self.incumbent_size  # no better matching is left
+                    break
         timed_out = False
         stack: list[tuple[int, int]] = []
         while self.incumbent_size < root_bound:  # an incumbent at the root bound is optimal

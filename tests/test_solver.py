@@ -25,7 +25,7 @@ from maxhrt.generator import GeneratorConfig, generate, sfas_like
 from maxhrt.heuristics import promotion_starts, warm_start
 from maxhrt.ip_model import IpModel, build_model
 from maxhrt.preprocess import ResidentTiesError, reduce_instance
-from maxhrt.relaxation import max_placement
+from maxhrt.relaxation import max_placement, structural_fixings
 from maxhrt.solver import (
     _UNFIXED,
     ESCALATE_AFTER_NODES,
@@ -437,6 +437,13 @@ def test_structural_fixings_keep_alternating_cycles():
     assert search._propagate([])
     assert search._relaxation_bound() == 2
     assert search._structural_fixings() == []
+
+
+def test_structural_fixings_reject_a_placement_that_is_not_maximum():
+    # one resident with one open column, left unplaced: an augmenting path
+    message = "placement is not maximum: resident 0 has an augmenting path"
+    with pytest.raises(ValueError, match=message):
+        structural_fixings([1], [0], [0], [[0]], [[0]], [-1], [-1], [-1])
 
 
 def test_select_var_refreshes_a_spent_guide():
@@ -907,6 +914,37 @@ def test_highs_child_answers_optimal():
         matching = Matching.from_pairs(model.pairs[c] for c in columns)
         assert len(matching) == optimum
         assert certify(model.instance, build_rank_table(model.instance), matching) is None
+
+
+def test_start_without_fork_races_nothing(single_pair, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    child = highs.start(_model(single_pair), time.monotonic() + 30.0)
+    assert child == highs.Child(-1, -1)
+    assert highs.poll(child) is None
+    highs.close(child)
+    assert child == highs.Child(-1, -1)
+
+
+def test_start_closes_the_pipe_when_the_fork_fails(single_pair, monkeypatch):
+    opened = []
+    pipe = os.pipe
+
+    def recording_pipe():
+        fds = pipe()
+        opened.extend(fds)
+        return fds
+
+    def failing_fork():
+        raise OSError("no processes left")
+
+    monkeypatch.setattr(os, "pipe", recording_pipe)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    child = highs.start(_model(single_pair), time.monotonic() + 30.0)
+    assert child == highs.Child(-1, -1)
+    assert len(opened) == 2
+    for fd in opened:
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
 
 @pytest.mark.highs

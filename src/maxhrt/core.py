@@ -222,11 +222,12 @@ def validate_matching(instance: Instance, matching: Matching) -> list[Violation]
     """Check matching invariants; one violation record per breach."""
     violations: list[Violation] = []
     load: dict[int, int] = {}
+    n1, n2, residents = instance.n1, instance.n2, instance.residents
     for r, h in matching.pairs():
-        if not 1 <= r <= instance.n1 or not 1 <= h <= instance.n2:
+        if not 1 <= r <= n1 or not 1 <= h <= n2:
             violations.append(Violation(f"pair (r{r}, h{h}) out of range"))
             continue
-        if not instance.is_acceptable(r, h):
+        if h not in residents[r - 1].ranks():
             violations.append(Violation(f"pair (r{r}, h{h}) is not acceptable"))
         load[h] = load.get(h, 0) + 1
     for h, count in sorted(load.items()):

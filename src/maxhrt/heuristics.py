@@ -24,7 +24,9 @@ their first proposals. The tie shuffles are drawn first, so the proposal
 shuffle does not change how a seed breaks the residents' ties. On strict
 resident lists the proposal order is all a seed changes; where the
 hospitals' lists are strict too, every order gives Gale–Shapley's
-resident-optimal matching.
+resident-optimal matching. All of these draws go through one kernel,
+`_shuffle`, which draws each index as `random.Random.shuffle` does;
+`test_shuffle_draws_as_random_shuffle` pins the two together.
 """
 
 from __future__ import annotations
@@ -35,16 +37,33 @@ from typing import Callable, Mapping, Sequence
 from .core import Instance, Matching, PreferenceList
 
 
-def _broken(plist: PreferenceList, rng: random.Random) -> Sequence[int]:
-    """The list's entries in order, each tie's members shuffled by `rng`."""
+def _shuffle(x: list[int], lo: int, hi: int, getrandbits: Callable[[int], int]) -> None:
+    """Shuffle x[lo:hi] in place, drawing each index as random.Random.shuffle does."""
+    for n in range(hi - lo, 1, -1):
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        x[lo + n - 1], x[lo + r] = x[lo + r], x[lo + n - 1]
+
+
+def _ties(plist: PreferenceList) -> list[tuple[int, int]]:
+    """The (start, end) in the list's entries of each tie of two or more."""
+    spans, end = [], 0
+    for group in plist.groups:
+        start, end = end, end + len(group)
+        if end - start > 1:
+            spans.append((start, end))
+    return spans
+
+
+def _broken(plist: PreferenceList, getrandbits: Callable[[int], int]) -> Sequence[int]:
+    """The list's entries in order, each tie's members shuffled."""
     if plist.is_strict():
         return plist.entries()
-    entries: list[int] = []
-    for group in plist.groups:
-        if len(group) > 1:
-            group = list(group)
-            rng.shuffle(group)
-        entries.extend(group)
+    entries = list(plist.entries())
+    for lo, hi in _ties(plist):
+        _shuffle(entries, lo, hi, getrandbits)
     return entries
 
 
@@ -116,15 +135,15 @@ def warm_start(instance: Instance) -> Matching:
     order, and then each hospital tie; each hospital ranks its residents
     by their places in its broken order.
     """
-    rng = random.Random(0)
-    res_lists = [(), *(_broken(p, rng) for p in instance.residents)]
+    getrandbits = random.Random(0).getrandbits
+    res_lists = [(), *(_broken(p, getrandbits) for p in instance.residents)]
     hosp_rank: list[Mapping[int, int]] = [{}]
     for hosp in instance.hospitals:
         plist = hosp.preferences
         if plist.is_strict():
             hosp_rank.append(plist.ranks())
         else:
-            hosp_rank.append({i: k for k, i in enumerate(_broken(plist, rng), start=1)})
+            hosp_rank.append({i: k for k, i in enumerate(_broken(plist, getrandbits), start=1)})
     caps = [0, *(h.capacity for h in instance.hospitals)]
     return _deferred_acceptance(hosp_rank, caps, res_lists, list(range(instance.n1, 0, -1)))
 
@@ -144,18 +163,18 @@ def promotion_starts(instance: Instance) -> Callable[[int], Matching]:
     caps = [0, *(h.capacity for h in instance.hospitals)]
     n1 = instance.n1
     entries: list[Sequence[int]] = [(), *(p.entries() for p in instance.residents)]
-    tied = [(i, p) for i, p in enumerate(instance.residents, start=1) if not p.is_strict()]
+    tied = [(i, _ties(p)) for i, p in enumerate(instance.residents, start=1) if not p.is_strict()]
 
     def start(seed: int) -> Matching:
-        rng = random.Random(seed)
-        res_lists = entries
-        if tied:
-            res_lists = list(entries)
-            for i, plist in tied:
-                res_lists[i] = _broken(plist, rng)
+        getrandbits = random.Random(seed).getrandbits
+        res_lists = list(entries)
+        for i, ties in tied:
+            broken = res_lists[i] = list(entries[i])
+            for lo, hi in ties:
+                _shuffle(broken, lo, hi, getrandbits)
         free = list(range(n1, 0, -1))
         if seed:
-            rng.shuffle(free)
+            _shuffle(free, 0, n1, getrandbits)
         return _deferred_acceptance(hosp_rank, caps, res_lists, free)
 
     return start

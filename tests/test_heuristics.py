@@ -4,6 +4,8 @@
 instance it is Gale–Shapley; the `test_gale_shapley_*` tests pin it there.
 `reference_warm_start` builds the tie-broken instance and runs a textbook
 Gale–Shapley on it, the reference for `warm_start` on instances with ties.
+`reference_promotion_start` breaks the residents' ties and runs a textbook
+promotion deferred acceptance, the reference for `promotion_starts`.
 """
 
 import math
@@ -23,7 +25,7 @@ from maxhrt.core import (
     certify,
 )
 from maxhrt.generator import GeneratorConfig, generate, sfas_like
-from maxhrt.heuristics import promotion_starts, warm_start
+from maxhrt.heuristics import _shuffle, promotion_starts, warm_start
 from maxhrt.instance_io import parse_instance
 
 from conftest import FIG1_TEXT
@@ -78,6 +80,55 @@ def reference_warm_start(instance):
     return Matching({i: j for j, hs in enumerate(held, start=1) for i in hs})
 
 
+def reference_promotion_start(instance, seed):
+    """Textbook promotion deferred acceptance, the reference for `promotion_starts`.
+
+    One `random.Random(seed)` shuffles each resident tie, residents in
+    index order, and then, for a seed other than 0, the free residents,
+    a stack popped from its end. Each popped resident proposes once. A
+    hospital keeps its ties and keys each assignee `2 * rank + (not
+    promoted)`; a full one displaces the first assignee with the largest
+    key, only for a strictly smaller key. A resident that runs out of
+    hospitals is promoted once and starts its list again.
+    """
+    rng = random.Random(seed)
+    lists = [None]
+    for plist in instance.residents:
+        entries = []
+        for group in plist.groups:
+            group = list(group)
+            if len(group) > 1:
+                rng.shuffle(group)
+            entries.extend(group)
+        lists.append(entries)
+    free = list(range(instance.n1, 0, -1))
+    if seed:
+        rng.shuffle(free)
+    ranks = [None, *(h.preferences.ranks() for h in instance.hospitals)]
+    promoted = [False] * (instance.n1 + 1)
+    next_choice = [0] * (instance.n1 + 1)
+    held = [[] for _ in range(instance.n2 + 1)]
+    while free:
+        i = free.pop()
+        if next_choice[i] == len(lists[i]):
+            if promoted[i] or not lists[i]:
+                continue
+            promoted[i] = True
+            next_choice[i] = 0
+        j = lists[i][next_choice[i]]
+        next_choice[i] += 1
+        if len(held[j]) < instance.capacity(j):
+            held[j].append(i)
+            continue
+        keys = [2 * ranks[j][r] + (not promoted[r]) for r in held[j]]
+        if keys and 2 * ranks[j][i] + (not promoted[i]) < max(keys):
+            free.append(held[j].pop(keys.index(max(keys))))
+            held[j].append(i)
+        else:
+            free.append(i)
+    return Matching({i: j for j, hs in enumerate(held) for i in hs})
+
+
 def test_break_ties_preserves_cross_tie_order(fig1):
     strict = reference_break_ties(fig1)
     assert all(p.is_strict() for p in strict.residents)
@@ -105,6 +156,42 @@ def test_warm_start_is_reference_with_ties_on_both_sides(data):
 def test_warm_start_is_reference_on_pool_instances(config):
     instance = generate(config)
     assert warm_start(instance) == reference_warm_start(instance)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**30))
+def test_promotion_start_is_reference_with_ties_on_both_sides(data, seed):
+    instance = data.draw(instances_strategy(max_residents=10, max_hospitals=5))
+    assert promotion_starts(instance)(seed) == reference_promotion_start(instance, seed)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param(sfas_like(150, 0.5, 7), id="sfas-150-.5-7"),
+        pytest.param(GeneratorConfig(150, 10, 150, 5, 0.3, 0.5, seed=0), id="two-sided-150-0"),
+    ],
+)
+def test_promotion_start_is_reference_on_pool_instances(config):
+    instance = generate(config)
+    start = promotion_starts(instance)
+    for seed in range(32):
+        assert start(seed) == reference_promotion_start(instance, seed)
+
+
+@pytest.mark.parametrize("length", [*range(41), 200])
+def test_shuffle_draws_as_random_shuffle(length):
+    # The kernel must draw exactly what random.Random.shuffle draws, and
+    # leave the rng in the same state: a promotion start shuffles its
+    # proposal order after its tie shuffles, from the same rng. The list
+    # has one more entry at each end, which the slice must leave in place.
+    for seed in range(100):
+        expected, got = list(range(length)), list(range(-1, length + 1))
+        rng, kernel_rng = random.Random(seed), random.Random(seed)
+        rng.shuffle(expected)
+        _shuffle(got, 1, length + 1, kernel_rng.getrandbits)
+        assert got == [-1, *expected, length]
+        assert kernel_rng.random() == rng.random()
 
 
 def test_gale_shapley_r4_first():

@@ -7,14 +7,28 @@ hospitals one at a time, which can leave a hospital with zero capacity.
 Ties are inserted afterwards by an adjacency rule: walking down a list,
 each entry after the first joins its predecessor's tie independently
 with the side's tie-density probability.
+
+All draws come from one `random.Random(seed)`, in this order: the
+hospital of each post; each resident's sample of hospitals, residents in
+index order; the shuffle of each hospital's listers, hospitals in index
+order; then one `random()` per adjacency of every list, residents before
+hospitals, whatever the density. The first three go through the kernels
+of `draws`, which take each draw as `random.Random`'s own `randrange`,
+`sample` (for at most 21 hospitals; more still call `sample`) and
+`shuffle` take it, so a config gives the same bytes as through those
+methods; `test_below_draws_as_randrange`,
+`test_sample_draws_as_random_sample` and
+`test_shuffle_draws_as_random_shuffle` pin each kernel to its method.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import Hospital, Instance, PreferenceList
+from .draws import below, sample, shuffle
 
 
 @dataclass(frozen=True)
@@ -41,45 +55,50 @@ class GeneratorConfig:
                 raise ValueError(f"tie density {density} outside [0, 1]")
 
 
-def _insert_ties(ordered: list[int], density: float, rng: random.Random) -> PreferenceList:
-    groups: list[list[int]] = []
-    for pos, agent in enumerate(ordered):
-        # One draw per adjacency regardless of density, so the stream of
-        # random numbers (hence the instance) depends only on the config.
-        joins = pos > 0 and rng.random() < density
-        if joins:
-            groups[-1].append(agent)
+def _insert_ties(ordered: list[int], density: float, draw: Callable[[], float]) -> PreferenceList:
+    # One draw per adjacency regardless of density, so the stream of
+    # random numbers (hence the instance) depends only on the config.
+    if not ordered:
+        return PreferenceList(())
+    group = [ordered[0]]
+    groups = [group]
+    for agent in ordered[1:]:
+        if draw() < density:
+            group.append(agent)
         else:
-            groups.append([agent])
-    return PreferenceList(tuple(tuple(g) for g in groups))
+            group = [agent]
+            groups.append(group)
+    return PreferenceList(tuple(map(tuple, groups)))
 
 
 def generate(config: GeneratorConfig) -> Instance:
     """Deterministic instance for the config; same config, same bytes."""
     rng = random.Random(config.seed)
+    getrandbits = rng.getrandbits
+    n2, k = config.n2, config.list_length
 
-    caps = [0] * config.n2
+    caps = [0] * n2
     for _ in range(config.total_posts):
-        caps[rng.randrange(config.n2)] += 1
+        caps[below(n2, getrandbits)] += 1
 
-    res_choices = [
-        rng.sample(range(1, config.n2 + 1), config.list_length)
-        for _ in range(config.n1)
-    ]
-    hosp_orders: list[list[int]] = [[] for _ in range(config.n2)]
+    if n2 <= 21:
+        res_choices = [sample(n2, k, getrandbits) for _ in range(config.n1)]
+    else:
+        res_choices = [rng.sample(range(1, n2 + 1), k) for _ in range(config.n1)]
+    hosp_orders: list[list[int]] = [[] for _ in range(n2)]
     for i, choices in enumerate(res_choices, start=1):
         for j in choices:
             hosp_orders[j - 1].append(i)
     for listers in hosp_orders:
-        rng.shuffle(listers)
+        shuffle(listers, 0, len(listers), getrandbits)
 
     residents = tuple(
-        _insert_ties(choices, config.tie_density_residents, rng)
+        _insert_ties(choices, config.tie_density_residents, rng.random)
         for choices in res_choices
     )
     hospitals = tuple(
-        Hospital(caps[j], _insert_ties(hosp_orders[j], config.tie_density_hospitals, rng))
-        for j in range(config.n2)
+        Hospital(cap, _insert_ties(listers, config.tie_density_hospitals, rng.random))
+        for cap, listers in zip(caps, hosp_orders)
     )
     return Instance(residents=residents, hospitals=hospitals)
 

@@ -25,8 +25,7 @@ shuffle does not change how a seed breaks the residents' ties. On strict
 resident lists the proposal order is all a seed changes; where the
 hospitals' lists are strict too, every order gives Gale–Shapley's
 resident-optimal matching. All of these draws go through one kernel,
-`_shuffle`, which draws each index as `random.Random.shuffle` does;
-`test_shuffle_draws_as_random_shuffle` pins the two together.
+`draws.shuffle`, which draws each index as `random.Random.shuffle` does.
 """
 
 from __future__ import annotations
@@ -35,16 +34,7 @@ import random
 from typing import Callable, Mapping, Sequence
 
 from .core import Instance, Matching, PreferenceList
-
-
-def _shuffle(x: list[int], lo: int, hi: int, getrandbits: Callable[[int], int]) -> None:
-    """Shuffle x[lo:hi] in place, drawing each index as random.Random.shuffle does."""
-    for n in range(hi - lo, 1, -1):
-        k = n.bit_length()
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        x[lo + n - 1], x[lo + r] = x[lo + r], x[lo + n - 1]
+from .draws import shuffle
 
 
 def _ties(plist: PreferenceList) -> list[tuple[int, int]]:
@@ -63,7 +53,7 @@ def _broken(plist: PreferenceList, getrandbits: Callable[[int], int]) -> Sequenc
         return plist.entries()
     entries = list(plist.entries())
     for lo, hi in _ties(plist):
-        _shuffle(entries, lo, hi, getrandbits)
+        shuffle(entries, lo, hi, getrandbits)
     return entries
 
 
@@ -171,10 +161,10 @@ def promotion_starts(instance: Instance) -> Callable[[int], Matching]:
         for i, ties in tied:
             broken = res_lists[i] = list(entries[i])
             for lo, hi in ties:
-                _shuffle(broken, lo, hi, getrandbits)
+                shuffle(broken, lo, hi, getrandbits)
         free = list(range(n1, 0, -1))
         if seed:
-            _shuffle(free, 0, n1, getrandbits)
+            shuffle(free, 0, n1, getrandbits)
         return _deferred_acceptance(hosp_rank, caps, res_lists, free)
 
     return start

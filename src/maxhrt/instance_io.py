@@ -220,25 +220,26 @@ def parse_instance(text: str) -> tuple[Instance, list[ParseDiagnostic]]:
     return instance, warnings
 
 
-def _format_groups(plist: PreferenceList, prefix: str) -> str:
-    parts = []
-    for group in plist.groups:
-        if len(group) == 1:
-            parts.append(f"{prefix}{group[0]}")
-        else:
-            parts.append("( " + " ".join(f"{prefix}{a}" for a in group) + " )")
-    return " ".join(parts)
+def _format_groups(plist: PreferenceList, names: list[str]) -> str:
+    """The list's text, each id written as names[id]."""
+    name = names.__getitem__
+    return " ".join(
+        names[group[0]] if len(group) == 1 else "( " + " ".join(map(name, group)) + " )"
+        for group in plist.groups
+    )
 
 
 def serialize_instance(instance: Instance) -> str:
     """Canonical text for an instance; parse(serialize(I)) reproduces I."""
+    res_names = [f"r{i}" for i in range(instance.n1 + 1)]
+    hosp_names = [f"h{j}" for j in range(instance.n2 + 1)]
     out = [f"{instance.n1} {instance.n2}"]
-    for i, plist in enumerate(instance.residents, start=1):
-        body = _format_groups(plist, "h")
-        out.append(f"r{i}: {body}".rstrip())
-    for j, hosp in enumerate(instance.hospitals, start=1):
-        body = _format_groups(hosp.preferences, "r")
-        out.append(f"h{j}: {hosp.capacity}: {body}".rstrip())
+    for name, plist in zip(res_names[1:], instance.residents):
+        body = _format_groups(plist, hosp_names)
+        out.append(f"{name}: {body}".rstrip())
+    for name, hosp in zip(hosp_names[1:], instance.hospitals):
+        body = _format_groups(hosp.preferences, res_names)
+        out.append(f"{name}: {hosp.capacity}: {body}".rstrip())
     return "\n".join(out) + "\n"
 
 

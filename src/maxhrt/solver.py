@@ -87,7 +87,8 @@ from typing import Callable
 
 from . import highs
 from .core import Matching, build_rank_table, certify
-from .heuristics import _shuffle, promotion_starts
+from .draws import shuffle
+from .heuristics import promotion_starts
 from .heuristics import warm_start as default_warm_start
 from .ip_model import IpModel
 from .relaxation import max_placement, structural_fixings
@@ -189,7 +190,7 @@ class _Search:
     def priority(self) -> list[int]:
         """The branching tie-break: a fixed permutation of the columns."""
         priority = list(range(self.model.num_variables))
-        _shuffle(priority, 0, len(priority), random.Random(0).getrandbits)
+        shuffle(priority, 0, len(priority), random.Random(0).getrandbits)
         return priority
 
     # -- state updates ----------------------------------------------------

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxhrt import draws
 from maxhrt.core import (
     Hospital,
     Instance,
@@ -25,7 +26,7 @@ from maxhrt.core import (
     certify,
 )
 from maxhrt.generator import GeneratorConfig, generate, sfas_like
-from maxhrt.heuristics import _shuffle, promotion_starts, warm_start
+from maxhrt.heuristics import promotion_starts, warm_start
 from maxhrt.instance_io import parse_instance
 
 from conftest import FIG1_TEXT
@@ -189,7 +190,7 @@ def test_shuffle_draws_as_random_shuffle(length):
         expected, got = list(range(length)), list(range(-1, length + 1))
         rng, kernel_rng = random.Random(seed), random.Random(seed)
         rng.shuffle(expected)
-        _shuffle(got, 1, length + 1, kernel_rng.getrandbits)
+        draws.shuffle(got, 1, length + 1, kernel_rng.getrandbits)
         assert got == [-1, *expected, length]
         assert kernel_rng.random() == rng.random()
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxhrt.core import Matching, PreferenceList, build_rank_table
+from maxhrt.core import Hospital, Instance, Matching, PreferenceList, build_rank_table
 from maxhrt.instance_io import (
     ParseError,
     _parse_id,
@@ -86,6 +86,36 @@ def test_empty_list_line():
     assert "r1:\n" in text
     again, _ = parse_instance(text)
     assert again == instance
+
+
+def test_serialized_edge_text_exact():
+    # An empty resident list, a capacity-0 hospital with an empty list, and
+    # a two-member tie between strict entries with ids of two digits. A
+    # change of spacing would still parse back to the same instance, so the
+    # round trip alone cannot catch it.
+    empty = PreferenceList(())
+    instance = Instance(
+        residents=(PreferenceList(((2,), (1, 10), (11,))), empty),
+        hospitals=(
+            Hospital(1, PreferenceList(((1,),))),
+            Hospital(2, PreferenceList(((1,),))),
+            Hospital(0, empty),
+            *(Hospital(1, empty) for _ in range(4, 10)),
+            Hospital(1, PreferenceList(((1,),))),
+            Hospital(3, PreferenceList(((1,),))),
+        ),
+    )
+    assert serialize_instance(instance) == (
+        "2 11\n"
+        "r1: h2 ( h1 h10 ) h11\n"
+        "r2:\n"
+        "h1: 1: r1\n"
+        "h2: 2: r1\n"
+        "h3: 0:\n"
+        + "".join(f"h{j}: 1:\n" for j in range(4, 10))
+        + "h10: 1: r1\n"
+        "h11: 3: r1\n"
+    )
 
 
 def test_crlf_and_comments_tolerated():

@@ -19,10 +19,10 @@ two-sided-ties n1 = 150 seed 0, and 4.9-5.0 -> 10.2-10.7 s on
 `Optimal` and the pair columns at 1 to a pipe; otherwise it writes
 nothing. It always leaves by `os._exit`.
 
-`poll` reads the optimum without blocking; `close` kills the child and
-reaps it, unless the host process has reaped it already. Without
-`os.fork`, or when the pipe or the fork fails, `start` returns a child
-that has finished without an optimum.
+`poll` reads the optimum without blocking, whatever the pipe's fd number;
+`close` kills the child and reaps it, unless the host process has reaped it
+already. Without `os.fork`, or when the pipe or the fork fails, `start`
+returns a child that has finished without an optimum.
 """
 
 from __future__ import annotations
@@ -75,15 +75,19 @@ def start(model: IpModel, deadline: float) -> Child:
 
 def poll(child: Child) -> tuple[int, ...] | None:
     """The columns of the child's optimum; None while it works, or if it has none."""
-    if child.fd >= 0 and select.select([child.fd], [], [], 0)[0]:
-        chunks = []
-        while chunk := os.read(child.fd, 1 << 16):
-            chunks.append(chunk)
-        os.close(child.fd)
-        child.fd = -1
-        status, *columns = b"".join(chunks).decode().split() or [""]
-        if status == OPTIMAL:
-            child.optimum = tuple(map(int, columns))
+    if child.fd >= 0:
+        # a poll object takes any fd; select.select rejects one of 1 024 or more
+        ready = select.poll()
+        ready.register(child.fd, select.POLLIN)
+        if ready.poll(0):
+            chunks = []
+            while chunk := os.read(child.fd, 1 << 16):
+                chunks.append(chunk)
+            os.close(child.fd)
+            child.fd = -1
+            status, *columns = b"".join(chunks).decode().split() or [""]
+            if status == OPTIMAL:
+                child.optimum = tuple(map(int, columns))
     return child.optimum
 
 

@@ -10,7 +10,7 @@ hold each agent's columns best first (a tie's members in column order),
 and `res_rank` and `hosp_rank` each column's rank on either side.
 
 The rows, all with integer coefficients and sense <=, are derived from the
-index each time `IpModel.constraints` is read, in this order:
+index when `IpModel.constraints` is first read, and kept, in this order:
 
 * resident rows `res_i`: each resident takes at most one hospital;
 * capacity rows `cap_j`: each hospital stays within its post count;
@@ -39,6 +39,7 @@ cumulative column per tie.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -68,9 +69,9 @@ class IpModel:
     def num_variables(self) -> int:
         return len(self.pairs)
 
-    @property
+    @functools.cached_property
     def constraints(self) -> tuple[LinearConstraint, ...]:
-        """Every row, derived from the pair index on each read."""
+        """Every row, derived from the pair index on the first read."""
         instance = self.instance
         rows = [
             LinearConstraint(f"res_{i}", _unit_terms(cols), 1)

@@ -1,8 +1,8 @@
 """Exact maximization of the pair-variable model in four phases.
 
-1. **Warm start.** A weakly stable matching (tie-breaking plus deferred
-   acceptance, computed if not supplied) is the first incumbent, so a
-   cutoff at any point still returns a matching.
+1. **Warm start.** Building the search certifies a weakly stable matching
+   (tie-breaking plus deferred acceptance, computed if not supplied) as the
+   first incumbent, then starts the clock: a cutoff still returns a matching.
 2. **Root.** Four stages, each run only while the incumbent is below the
    root bound; propagation only fixes pairs, so an incumbent that meets the
    bound is optimal, proved at the root node.
@@ -135,7 +135,6 @@ class SolveOutcome:
 class _Search:
     def __init__(self, model: IpModel, options: SolveOptions):
         self.model = model
-        self.options = options
         instance = model.instance
         # the rank table `certify` takes, for the warm start and each incumbent;
         # the model keeps only its columns' ranks (the table shares the
@@ -158,7 +157,7 @@ class _Search:
         self.res_nonzero = [len(vs) for vs in self.res_vars]
         self.hosp_ones = [0] * self.n2
         self.total_ones = 0
-        self.nodes = 0
+        self.nodes = 1  # the root
 
         # A row (i, j) reads the states of j's variables, res_match[i] and
         # i's variables, so a state change of resident i makes every hospital
@@ -175,8 +174,6 @@ class _Search:
         self.hosp_bad = [False] * self.n2
         self.bad_count = 0
 
-        self.incumbent: Matching | None = None
-        self.incumbent_size = -1
         # column per resident in the latest relaxation placement (-1: none);
         # diving along it tries to realize the bound, so that proving and
         # finding meet in the middle, and the next bound repairs it
@@ -185,6 +182,18 @@ class _Search:
         # promotion starts: the seed -> matching function, built at the first try
         self.promote: Callable[[int], Matching] | None = None
         self.next_seed = 0
+
+        incumbent = options.warm_start
+        if incumbent is None:
+            incumbent = default_warm_start(instance)
+        problem = certify(instance, self.ranks, incumbent)
+        if problem is not None:
+            raise ValueError(f"warm start {problem}")
+        self.incumbent = incumbent
+        self.incumbent_size = len(incumbent)
+        # the clock starts once the search holds its certified warm start
+        self.start = time.monotonic()
+        self.deadline = self.start + options.time_limit
 
     @functools.cached_property
     def priority(self) -> list[int]:
@@ -383,7 +392,7 @@ class _Search:
         self.incumbent = matching
         self.incumbent_size = len(matching)
 
-    def _try_seeds(self, target: int, deadline: float, stop: int) -> None:
+    def _try_seeds(self, target: int, stop: int) -> None:
         """Raise the incumbent toward `target` with promotion starts.
 
         Tries the seeds from `next_seed` up to `stop` - 1, and stops once the
@@ -393,7 +402,7 @@ class _Search:
         while (
             self.next_seed < stop
             and self.incumbent_size < target
-            and time.monotonic() <= deadline
+            and time.monotonic() <= self.deadline
             and (self.child is None or highs.poll(self.child) is None)
         ):
             if self.promote is None:
@@ -460,15 +469,15 @@ class _Search:
 
     # -- main loop ----------------------------------------------------------
 
-    def _race(self, root_bound: int, deadline: float) -> bool:
+    def _race(self, root_bound: int) -> bool:
         """Start the HiGHS child, or read its answer; True once the incumbent is proved.
 
         Right after the fork the child spends most of a second importing
         scipy, so the parent tries more promotion starts first.
         """
         if self.child is None:
-            self.child = highs.start(self.model, deadline)
-            self._try_seeds(root_bound, deadline, RACE_TRIES)
+            self.child = highs.start(self.model, self.deadline)
+            self._try_seeds(root_bound, RACE_TRIES)
             if self.incumbent_size >= root_bound:
                 return True
         columns = highs.poll(self.child)
@@ -482,91 +491,72 @@ class _Search:
 
     def run(self) -> SolveOutcome:
         try:
-            return self._run()
+            root_bound = self._quick_bound()  # the residents with a column
+            if self.incumbent_size < root_bound:
+                for r, h in self.incumbent.assignment.items():
+                    self.guide[r - 1] = next(
+                        c for c in self.res_vars[r - 1] if self.var_hosp[c] == h - 1
+                    )
+                root_bound = self._relaxation_bound()
+                self._try_seeds(root_bound, PROMOTION_TRIES)
+            if self.incumbent_size < root_bound:
+                if not self._propagate([]):
+                    raise SolverInternalError("root propagation found no stable matching")
+                self.guide = [-1] * self.n1  # the search starts from a fresh placement
+                root_bound = self._relaxation_bound()
+            if self.incumbent_size == root_bound - 1:
+                # any better matching is a maximum placement: fix what they all agree on
+                while fixings := self._structural_fixings():
+                    if (
+                        not self._propagate(fixings)
+                        or self._relaxation_bound() <= self.incumbent_size
+                    ):
+                        root_bound = self.incumbent_size  # no better matching is left
+                        break
+            timed_out = False
+            stack: list[tuple[int, int]] = []
+            while self.incumbent_size < root_bound:  # an incumbent at the root bound is optimal
+                if time.monotonic() > self.deadline:
+                    timed_out = True
+                    break
+                if self.nodes >= ESCALATE_AFTER_NODES and self._race(root_bound):
+                    break  # HiGHS, or a promotion start at the bound, proved the incumbent
+                v = self._select_var()
+                if v >= 0:
+                    b0 = self._quick_bound()
+                    best = self.incumbent_size
+                    if b0 > best and (b0 - best > 2 or self._relaxation_bound() > best):
+                        stack.append((len(self.trail), v))
+                        self.nodes += 1
+                        if self._propagate([(v, 1)]):
+                            continue
+                while stack:
+                    mark, var = stack.pop()
+                    self._undo_to(mark)
+                    self.nodes += 1
+                    if self._propagate([(var, 0)]):
+                        break
+                else:
+                    break  # every branch is closed: the incumbent is optimal
+
+            return SolveOutcome(
+                status=SolveStatus.FEASIBLE_TIMEOUT if timed_out else SolveStatus.OPTIMAL,
+                matching=self.incumbent,
+                objective=self.incumbent_size,
+                nodes=self.nodes,
+                wall_time=time.monotonic() - self.start,
+                proof_bound=root_bound if timed_out else self.incumbent_size,
+            )
         finally:
             if self.child is not None:
                 highs.close(self.child)
-
-    def _run(self) -> SolveOutcome:
-        start = time.monotonic()
-        deadline = start + self.options.time_limit
-        self.nodes = 1
-        root_bound = self._quick_bound()  # the residents with a column
-        if self.incumbent_size < root_bound:
-            for r, h in self.incumbent.assignment.items():
-                self.guide[r - 1] = next(
-                    c for c in self.res_vars[r - 1] if self.var_hosp[c] == h - 1
-                )
-            root_bound = self._relaxation_bound()
-            self._try_seeds(root_bound, deadline, PROMOTION_TRIES)
-        if self.incumbent_size < root_bound:
-            if not self._propagate([]):
-                raise SolverInternalError("root propagation found no stable matching")
-            self.guide = [-1] * self.n1  # the search starts from a fresh placement
-            root_bound = self._relaxation_bound()
-        if self.incumbent_size == root_bound - 1:
-            # any better matching is a maximum placement: fix what they all agree on
-            while fixings := self._structural_fixings():
-                if not self._propagate(fixings) or self._relaxation_bound() <= self.incumbent_size:
-                    root_bound = self.incumbent_size  # no better matching is left
-                    break
-        timed_out = False
-        stack: list[tuple[int, int]] = []
-        while self.incumbent_size < root_bound:  # an incumbent at the root bound is optimal
-            if time.monotonic() > deadline:
-                timed_out = True
-                break
-            if self.nodes >= ESCALATE_AFTER_NODES and self._race(root_bound, deadline):
-                break  # HiGHS, or a promotion start at the bound, proved the incumbent
-            v = self._select_var()
-            if v >= 0:
-                b0 = self._quick_bound()
-                best = self.incumbent_size
-                if b0 > best and (b0 - best > 2 or self._relaxation_bound() > best):
-                    stack.append((len(self.trail), v))
-                    self.nodes += 1
-                    if self._propagate([(v, 1)]):
-                        continue
-            while stack:
-                mark, var = stack.pop()
-                self._undo_to(mark)
-                self.nodes += 1
-                if self._propagate([(var, 0)]):
-                    break
-            else:
-                break  # every branch is closed: the incumbent is optimal
-
-        if self.incumbent is None:
-            raise SolverInternalError("no incumbent at exit")
-        status = SolveStatus.FEASIBLE_TIMEOUT if timed_out else SolveStatus.OPTIMAL
-        proof = root_bound if timed_out else self.incumbent_size  # a timeout is below root_bound
-        return SolveOutcome(
-            status=status,
-            matching=self.incumbent,
-            objective=self.incumbent_size,
-            nodes=self.nodes,
-            wall_time=time.monotonic() - start,
-            proof_bound=proof,
-        )
 
 
 def solve(model: IpModel, options: SolveOptions | None = None) -> SolveOutcome:
     """Maximize matched residents over the model's feasible 0/1 points.
 
     Always returns a weakly stable matching: the warm start guarantees an
-    incumbent even when the cutoff strikes immediately.
+    incumbent even when the cutoff strikes immediately. The warm start is
+    certified when the search is built, and the time limit counts from then.
     """
-    options = options or SolveOptions()
-    search = _Search(model, options)
-    instance = model.instance
-
-    initial = options.warm_start
-    if initial is None:
-        initial = default_warm_start(instance)
-    problem = certify(instance, search.ranks, initial)
-    if problem is not None:
-        raise ValueError(f"warm start {problem}")
-
-    search.incumbent = initial
-    search.incumbent_size = len(initial)
-    return search.run()
+    return _Search(model, options or SolveOptions()).run()

@@ -105,6 +105,12 @@ def test_fig1_model_shape(fig1):
     assert kinds.count("stability") == 10
 
 
+def test_rows_are_derived_once(fig1):
+    # a traced benchmark pass reads the rows twice per model
+    model = _model(fig1)
+    assert model.constraints is model.constraints
+
+
 def test_single_pair_forces_match(single_pair):
     model = _model(single_pair)
     assert model.num_variables == 1

@@ -207,6 +207,21 @@ def test_rejects_unstable_warm_start(fig1):
     )
 
 
+def test_search_is_built_with_its_certified_warm_start(fig1):
+    # the search holds a certified incumbent from its construction on: the
+    # warm start it is given, or the default one
+    model = _model(fig1)
+    unstable = SolveOptions(warm_start=Matching({1: 2}))  # (r1, h1) blocks
+    with pytest.raises(ValueError) as solved:
+        solve(model, unstable)
+    with pytest.raises(ValueError) as built:
+        _Search(model, unstable)
+    assert str(built.value) == str(solved.value)
+    search = _Search(model, SolveOptions())
+    assert search.incumbent == warm_start(model.instance)
+    assert search.incumbent_size == len(search.incumbent)
+
+
 def _recount(search):
     """The search's counters, rebuilt from its variable states."""
     res_match = [-1] * search.n1
@@ -774,9 +789,9 @@ def test_a_deciding_child_stops_the_tries(monkeypatch):
     model = _pipeline_model(generate(sfas_like(150, 0.5, 7)))
     warm = warm_start(model.instance)
     answer = _optimal_answer(model, warm)
-    search = _Search(model, SolveOptions())
+    search = _Search(model, SolveOptions(time_limit=60.0))
     monkeypatch.setattr(highs, "start", lambda *args: highs.Child(-1, -1, answer))
-    assert search._race(search.n1 + 1, time.monotonic() + 60.0)
+    assert search._race(search.n1 + 1)
     assert search.next_seed == 0
     assert search.incumbent == warm
 
@@ -945,6 +960,36 @@ def test_start_closes_the_pipe_when_the_fork_fails(single_pair, monkeypatch):
     for fd in opened:
         with pytest.raises(OSError):
             os.fstat(fd)
+
+
+def test_poll_reads_a_pipe_above_fd_setsize():
+    # In a process with many files open the race's pipe gets a high fd, and
+    # select.select rejects any fd of FD_SETSIZE (1 024) or more.
+    resource = pytest.importorskip("resource")
+    fd = 1500
+    soft, _ = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if soft != resource.RLIM_INFINITY and soft <= fd:
+        pytest.skip(f"the soft limit on open files is {soft}")
+    with pytest.raises(OSError):
+        os.fstat(fd)  # free, so dup2 closes no file of this process
+    for answer, optimum in ((b"Optimal 3 5", (3, 5)), (b"", None)):
+        read_fd, write_fd = os.pipe()
+        child = highs.Child(-1, -1)
+        try:
+            child.fd = os.dup2(read_fd, fd)
+            assert highs.poll(child) is None  # nothing written yet
+            os.write(write_fd, answer)
+            os.close(write_fd)
+            write_fd = -1
+            assert highs.poll(child) == optimum
+            assert child.fd == -1
+            with pytest.raises(OSError):
+                os.fstat(fd)  # poll read the pipe to its end and closed it
+        finally:
+            highs.close(child)
+            for end in (read_fd, write_fd):
+                if end >= 0:
+                    os.close(end)
 
 
 @pytest.mark.highs

@@ -5,6 +5,11 @@ ordered sequence of ties (indifference groups); a strict entry is a tie of
 size one. A pair (resident, hospital) is acceptable when each side lists the
 other; the rank maps hold exactly the acceptable pairs.
 
+`Instance` decides validity in one pass of builtin calls over whole lists.
+Only an instance that fails it is walked item by item, in index order, to
+word its first error. A `PreferenceList` is short, so its one loop builds
+the rank map and raises at the first empty group or repeated id.
+
 A `PreferenceList` derives its flat entries and its rank map once, when it
 is built, and every later read returns them. `RankTable` shares those rank
 maps rather than copying them, so both are read-only: nothing may mutate a
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 INFINITY = math.inf
@@ -83,15 +89,10 @@ def one_sided_pairs(
 ) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
     """The (resident, hospital) pairs that only residents list, and only hospitals.
 
-    Every listed id must be in range. Lists hold no duplicates, so the two
-    sides agree iff every hospital entry (r, j) has j on r's list and both
-    sides list as many pairs; the pair sets are built only when they do not.
+    Every listed id must be in range. `Instance` decides mutuality in its
+    own pass, so this runs on lists known not to be mutual, to name or
+    prune their one-sided pairs, and builds both pair sets.
     """
-    res_ranks = [plist.ranks() for plist in residents]
-    if sum(map(len, residents)) == sum(map(len, hospitals)) and all(
-        j in res_ranks[r - 1] for j, plist in enumerate(hospitals, start=1) for r in plist.entries()
-    ):
-        return set(), set()
     res_pairs = {(i, h) for i, plist in enumerate(residents, start=1) for h in plist.entries()}
     hosp_pairs = {(r, j) for j, plist in enumerate(hospitals, start=1) for r in plist.entries()}
     return res_pairs - hosp_pairs, hosp_pairs - res_pairs
@@ -110,6 +111,11 @@ class Instance:
     Mutual acceptability is required: hospital j appears on resident i's
     list iff resident i appears on hospital j's list. Inputs that break
     this must be pruned before construction (the parser does).
+
+    One pass over the hospitals decides validity: capacities, ids by `min`
+    and `max`, each listed resident listing the hospital back, and as many
+    pairs on each side. Only an instance that fails is walked, residents
+    first, to word its first error.
     """
 
     residents: tuple[PreferenceList, ...]
@@ -119,6 +125,25 @@ class Instance:
         n1, n2 = len(self.residents), len(self.hospitals)
         if n1 < 1 or n2 < 1:
             raise InstanceError("need at least one resident and one hospital")
+        # index r holds resident r's rank map, so index 0 lists nothing
+        res_ranks = [{}, *map(PreferenceList.ranks, self.residents)]
+        listed = 0
+        for j, hosp in enumerate(self.hospitals, start=1):
+            entries = hosp.preferences.entries()
+            in_range = not entries or 1 <= min(entries) and max(entries) <= n1
+            if (
+                hosp.capacity < 0
+                or not in_range
+                or not all(map(dict.__contains__, map(res_ranks.__getitem__, entries), repeat(j)))
+            ):
+                break
+            listed += len(entries)
+        else:
+            # every hospital pair is a resident pair, so as many on each
+            # side makes them the same pairs
+            if listed == sum(map(len, res_ranks)):
+                return
+        # invalid: walk the lists in index order to word the first error
         for i, plist in enumerate(self.residents, start=1):
             entries = plist.entries()
             if entries and (min(entries) < 1 or max(entries) > n2):
@@ -134,10 +159,9 @@ class Instance:
         res_only, hosp_only = one_sided_pairs(
             self.residents, [h.preferences for h in self.hospitals]
         )
-        if res_only or hosp_only:
-            r, j = min(res_only | hosp_only)
-            side = "r{0} lists h{1} only" if (r, j) in res_only else "h{1} lists r{0} only"
-            raise InstanceError(f"pair (r{r}, h{j}) is not mutual: " + side.format(r, j))
+        r, j = min(res_only | hosp_only)
+        side = "r{0} lists h{1} only" if (r, j) in res_only else "h{1} lists r{0} only"
+        raise InstanceError(f"pair (r{r}, h{j}) is not mutual: " + side.format(r, j))
 
     @property
     def n1(self) -> int:

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Hospital, Instance, Matching, PreferenceList, one_sided_pairs, validate_matching
+from .core import Hospital, Instance, InstanceError, Matching, PreferenceList
+from .core import one_sided_pairs, validate_matching
 
 
 @dataclass(frozen=True)
@@ -191,6 +192,13 @@ def parse_instance(text: str) -> tuple[Instance, list[ParseDiagnostic]]:
         capacities.append(capacity)
         hosp_lists.append(_parse_groups(_tokenize_list(body), res_ids, "r", num))
 
+    try:
+        return Instance(tuple(res_lists), tuple(map(Hospital, capacities, hosp_lists))), []
+    except InstanceError:
+        # A one-sided pair: the lines above check every other invariant.
+        # Such input builds the pair sets twice, once in the failed check
+        # to word the error dropped here and once below to prune them.
+        pass
     # Prune one-sided entries so that acceptability is mutual.
     res_only, hosp_only = one_sided_pairs(res_lists, hosp_lists)
     warnings: list[ParseDiagnostic] = []
@@ -213,11 +221,7 @@ def parse_instance(text: str) -> tuple[Instance, list[ParseDiagnostic]]:
     _prune(res_lists, res_removed)
     _prune(hosp_lists, hosp_removed)
 
-    instance = Instance(
-        residents=tuple(res_lists),
-        hospitals=tuple(Hospital(c, pl) for c, pl in zip(capacities, hosp_lists)),
-    )
-    return instance, warnings
+    return Instance(tuple(res_lists), tuple(map(Hospital, capacities, hosp_lists))), warnings
 
 
 def _format_groups(plist: PreferenceList, names: list[str]) -> str:

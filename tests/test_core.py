@@ -83,6 +83,13 @@ def test_validate_acceptability_violation(fig1):
     assert [v.message for v in report] == ["pair (r2, h3) is not acceptable"]
 
 
+@pytest.mark.parametrize("resident, hospital", [(-1, 2), (0, 1), (7, 1), (1, 0), (6, -1), (1, 4)])
+def test_validate_range_violation(fig1, resident, hospital):
+    # r6 lists h1 and h2: resident -1 must not read as r6, the last resident
+    report = validate_matching(fig1, Matching({resident: hospital}))
+    assert [v.message for v in report] == [f"pair (r{resident}, h{hospital}) out of range"]
+
+
 def test_from_pairs_rejects_resident_assigned_twice():
     with pytest.raises(ValueError, match="r1 assigned twice"):
         Matching.from_pairs([(1, 1), (1, 2)])

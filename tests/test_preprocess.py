@@ -260,10 +260,13 @@ def test_reduce_idempotent(fig1):
 
 
 def test_reduce_rejects_resident_ties():
-    instance, _ = parse_instance("2 2\nr1: ( h1 h2 )\nr2: h1\nh1: 1: r1 r2\nh2: 1: r1\n")
+    instance, _ = parse_instance(
+        "3 2\nr1: h1\nr2: ( h1 h2 )\nr3: ( h2 h1 )\nh1: 1: r1 r2 r3\nh2: 1: r2 r3\n"
+    )
     for operation in (hospitals_offer, residents_apply, reduce_instance):
-        with pytest.raises(ResidentTiesError):
+        with pytest.raises(ResidentTiesError) as info:
             operation(instance)
+        assert str(info.value) == "resident r2 has tied entries"
 
 
 def test_reduce_monotone_over_first_pass(fig1):

@@ -36,6 +36,8 @@ class PreferenceList:
 
     The entries and the rank map are derived once, in `__post_init__`;
     they are not fields, so equality and hashing still compare `groups`.
+    A group tuple may be shared by many lists (the parser shares each id's
+    1-tuple), so compare groups by value, never by identity.
     """
 
     groups: tuple[tuple[int, ...], ...]
@@ -91,11 +93,16 @@ def one_sided_pairs(
 
     Every listed id must be in range. `Instance` decides mutuality in its
     own pass, so this runs on lists known not to be mutual, to name or
-    prune their one-sided pairs, and builds both pair sets.
+    prune their one-sided pairs. Each side's entries are looked up in the
+    other side's rank maps, so only the one-sided pairs are built.
     """
-    res_pairs = {(i, h) for i, plist in enumerate(residents, start=1) for h in plist.entries()}
-    hosp_pairs = {(r, j) for j, plist in enumerate(hospitals, start=1) for r in plist.entries()}
-    return res_pairs - hosp_pairs, hosp_pairs - res_pairs
+    # index a holds agent a's rank map, so index 0 lists nothing
+    res_ranks = [{}, *map(PreferenceList.ranks, residents)]
+    hosp_ranks = [{}, *map(PreferenceList.ranks, hospitals)]
+    return (
+        {(i, h) for i, ranks in enumerate(res_ranks) for h in ranks if i not in hosp_ranks[h]},
+        {(r, j) for j, ranks in enumerate(hosp_ranks) for r in ranks if j not in res_ranks[r]},
+    )
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,14 @@ Groups in round brackets are ties; a bare id is a strict entry. Tokens are
 whitespace-separated, but brackets glued to ids (as in ``(r4 r5)``) are
 accepted. Ids are ``r`` or ``h`` followed by ASCII digits and must be the
 dense ranges 1..n1 and 1..n2, with resident and hospital lines in index order.
-Both parsers look each token up in a table of the canonical ids (``r1`` to
-``r<n1>``, ``h1`` to ``h<n2>``); any other token, such as ``h01`` or a
-bracket, gets the full check, so what is accepted and every error message
-are the same as without the table.
+Both parsers look ids up in tables of the canonical ids (``r1`` to
+``r<n1>``, ``h1`` to ``h<n2>``). A list is read first by a quick pass that
+takes only those ids and spaced brackets, gives each strict entry the one
+shared 1-tuple of its id, and leaves repeats to `PreferenceList`'s check.
+A line it refuses (a token such as ``h01`` or ``(r4``, a bracket fault, an
+empty tie or a repeat) is walked token by token by `_parse_groups`, which
+alone words errors, so what is accepted and every error message are the
+same as without the tables.
 
 Matching format: one line per resident in index order, ``r<i> h<j>`` for a
 matched resident or ``r<i> -`` for an unmatched one.
@@ -92,6 +96,7 @@ def _lookup_id(token: str, ids: dict[str, int], kind: str, line: int) -> int:
 
 
 def _parse_groups(tokens: list[str], ids: dict[str, int], kind: str, line: int) -> PreferenceList:
+    """A line's list, walked in token order: it words the line's first fault."""
     groups: list[tuple[int, ...]] = []
     seen: set[int] = set()
     tie: list[int] | None = None
@@ -124,8 +129,31 @@ def _parse_groups(tokens: list[str], ids: dict[str, int], kind: str, line: int) 
     return PreferenceList(tuple(groups))
 
 
-def _tokenize_list(body: str) -> list[str]:
-    return body.replace("(", " ( ").replace(")", " ) ").split()
+def _read_list(
+    body: str, singles: dict[str, tuple[int]], ids: dict[str, int], kind: str, line: int
+) -> PreferenceList:
+    """A line's list by the quick pass, or by `_parse_groups` if it refuses the line."""
+    try:
+        if "(" not in body:
+            return PreferenceList(tuple(map(singles.__getitem__, body.split())))
+        groups: list[tuple[int, ...]] = []
+        tie: list[int] | None = None
+        # A nested "(" or a stray ")" falls through to a table and misses it.
+        for token in body.split():
+            if token == "(" and tie is None:
+                tie = []
+            elif token == ")" and tie is not None:
+                groups.append(tuple(tie))
+                tie = None
+            elif tie is None:
+                groups.append(singles[token])
+            else:
+                tie.append(ids[token])
+        if tie is None:
+            return PreferenceList(tuple(groups))
+    except (KeyError, InstanceError):
+        pass
+    return _parse_groups(body.replace("(", " ( ").replace(")", " ) ").split(), ids, kind, line)
 
 
 def _prune(lists: list[PreferenceList], removed: dict[int, set[int]]) -> None:
@@ -157,6 +185,9 @@ def parse_instance(text: str) -> tuple[Instance, list[ParseDiagnostic]]:
         )
     res_ids = _id_table("r", n1)
     hosp_ids = _id_table("h", n2)
+    # one 1-tuple per id, shared by every list that has it as a strict entry
+    res_singles = {token: (value,) for token, value in res_ids.items()}
+    hosp_singles = {token: (value,) for token, value in hosp_ids.items()}
 
     res_lists: list[PreferenceList] = []
     for i in range(1, n1 + 1):
@@ -166,7 +197,7 @@ def parse_instance(text: str) -> tuple[Instance, list[ParseDiagnostic]]:
             raise ParseError(num, "missing ':' after resident id")
         if _lookup_id(head.strip(), res_ids, "r", num) != i:
             raise ParseError(num, f"expected r{i} at this position, got {head.strip()!r}")
-        res_lists.append(_parse_groups(_tokenize_list(body), hosp_ids, "h", num))
+        res_lists.append(_read_list(body, hosp_singles, hosp_ids, "h", num))
 
     capacities: list[int] = []
     hosp_lists: list[PreferenceList] = []
@@ -190,7 +221,7 @@ def parse_instance(text: str) -> tuple[Instance, list[ParseDiagnostic]]:
         if capacity < 0:
             raise ParseError(num, f"capacity must be non-negative, got {capacity}")
         capacities.append(capacity)
-        hosp_lists.append(_parse_groups(_tokenize_list(body), res_ids, "r", num))
+        hosp_lists.append(_read_list(body, res_singles, res_ids, "r", num))
 
     try:
         return Instance(tuple(res_lists), tuple(map(Hospital, capacities, hosp_lists))), []

@@ -1,12 +1,16 @@
 """The instance parser as it was before ids were looked up in a table.
 
 It checks every id token with `_parse_id`'s slicing and digit test, and it
-prunes one one-sided pair at a time. `test_instance_io` compares
+prunes one one-sided pair at a time. It finds those pairs with the
+reference copy of `one_sided_pairs`, so the comparison does not rest on
+the function the parser calls. `test_instance_io` compares
 `parse_instance` against it, on results, warnings and error messages.
 """
 
-from maxhrt.core import Hospital, Instance, PreferenceList, one_sided_pairs
+from maxhrt.core import Hospital, Instance, PreferenceList
 from maxhrt.instance_io import ParseDiagnostic, ParseError
+
+from reference_validation import reference_one_sided_pairs
 
 
 def _content_lines(text):
@@ -121,7 +125,7 @@ def reference_parse_instance(text):
         hosp_lists.append(_parse_groups(_tokenize_list(body), "r", n1, num))
         hosp_lines.append(num)
 
-    res_only, hosp_only = one_sided_pairs(res_lists, hosp_lists)
+    res_only, hosp_only = reference_one_sided_pairs(res_lists, hosp_lists)
     warnings = []
     for i, h in sorted(res_only):
         warnings.append(

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxhrt import instance_io
 from maxhrt.core import Hospital, Instance, Matching, PreferenceList, build_rank_table
+from maxhrt.generator import generate
 from maxhrt.instance_io import (
     ParseError,
     _parse_id,
@@ -19,6 +21,7 @@ from maxhrt.instance_io import (
 from conftest import FIG1_TEXT, M1_PAIRS
 from reference_parser import reference_parse_instance
 from strategies import instances_strategy, matchings_for
+from test_pool_digests import workloads
 
 M1_TEXT = """\
 r1 h1
@@ -44,8 +47,9 @@ def test_minimal_instance():
 
 
 def test_duplicate_entry_rejected():
-    with pytest.raises(ParseError, match="duplicate"):
+    with pytest.raises(ParseError) as info:
         parse_instance("1 1\nr1: h1 h1\nh1: 1: r1\n")
+    assert str(info.value) == "line 2: duplicate entry 'h1'"
 
 
 def test_malformed_header():
@@ -258,6 +262,11 @@ def test_id_tokens_accepted_exactly_as_kind_then_ascii_digits(token):
         pytest.param("1 1\nr1: h1 )\nh1: 1: r1\n", "line 2: unbalanced tie parentheses",
                      id="close-without-open"),
         pytest.param("1 1\nr1: h1 ( )\nh1: 1: r1\n", "line 2: empty tie group", id="empty-tie"),
+        pytest.param("1 1\nr1: ( h1 h1 )\nh1: 1: r1\n", "line 2: duplicate entry 'h1'",
+                     id="repeat-in-tie"),
+        # the repeat comes before the unknown id, so it is the line's first fault
+        pytest.param("1 1\nr1: h1 h1 h9\nh1: 1: r1\n", "line 2: duplicate entry 'h1'",
+                     id="repeat-before-unknown"),
         pytest.param("# no content\n\n", "line 1: empty input", id="empty-input"),
         pytest.param("2 1\nr1: h1\nh1: 1: r1\n",
                      "line 3: expected 2 resident lines and 1 hospital lines, got 2",
@@ -383,6 +392,15 @@ def _duplicate(tokens, k):
     return " ".join(tokens + [tokens[k][0] + "0" + tokens[k][1:].rstrip(":")])
 
 
+def _repeat_entry(tokens, k):
+    # The id token again, verbatim: for odd k next to itself, so inside its
+    # tie if it is in one, and for even k as a strict entry at the end.
+    token = tokens[k].rstrip(":")
+    if k % 2:
+        return " ".join(tokens[: k + 1] + [token] + tokens[k + 1 :])
+    return " ".join(tokens + [token])
+
+
 def _empty_tie(tokens, k):
     return " ".join(tokens + ["(", ")"])
 
@@ -413,6 +431,7 @@ MUTATIONS = [
     _wrong_kind,
     _out_of_range,
     _duplicate,
+    _repeat_entry,
     _empty_tie,
     _nested_tie,
     _unclosed_tie,
@@ -437,3 +456,22 @@ def test_parse_instance_matches_reference(data):
         lines[index] = mutation(tokens, k)
     mutated = "\n".join(lines)
     assert _outcome(parse_instance, mutated) == _outcome(reference_parse_instance, mutated)
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_pool_texts_parse_by_the_quick_pass_alone(workload, monkeypatch):
+    # Every line of a serialized pool instance is read by the quick pass, so
+    # a change of the text format cannot send the pools to the token walk.
+    walked = []
+    walk = instance_io._parse_groups
+
+    def counting_walk(tokens, ids, kind, line):
+        walked.append(line)
+        return walk(tokens, ids, kind, line)
+
+    monkeypatch.setattr(instance_io, "_parse_groups", counting_walk)
+    for config in workloads.WORKLOADS[workload]:
+        instance = generate(config)
+        text = serialize_instance(instance)
+        assert parse_instance(text) == reference_parse_instance(text) == (instance, [])
+    assert walked == []

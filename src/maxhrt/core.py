@@ -301,16 +301,18 @@ def blocking_pairs(
     return out
 
 
-def certify(instance: Instance, ranks: RankTable, matching: Matching) -> str | None:
+def certify(instance: Instance, matching: Matching) -> str | None:
     """Why the matching is not a weakly stable matching of the instance, or None.
 
-    The reason reads as a predicate of the matching (e.g. "is not weakly
-    stable in the instance: (r1, h2) blocks"), so callers prefix a subject.
+    It derives the instance's own rank maps, so no caller can pass the
+    ranks of another instance. The reason reads as a predicate of the
+    matching (e.g. "is not weakly stable in the instance: (r1, h2)
+    blocks"), so callers prefix a subject.
     """
     violations = validate_matching(instance, matching)
     if violations:
         return f"is not a valid matching for the instance: {violations[0].message}"
-    blockers = blocking_pairs(instance, ranks, matching)
+    blockers = blocking_pairs(instance, build_rank_table(instance), matching)
     if blockers:
         r, h = blockers[0]
         return f"is not weakly stable in the instance: (r{r}, h{h}) blocks"

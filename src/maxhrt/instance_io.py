@@ -14,10 +14,11 @@ Groups in round brackets are ties; a bare id is a strict entry. Tokens are
 whitespace-separated, but brackets glued to ids (as in ``(r4 r5)``) are
 accepted. Ids are ``r`` or ``h`` followed by ASCII digits and must be the
 dense ranges 1..n1 and 1..n2, with resident and hospital lines in index order.
-Both parsers look ids up in tables of the canonical ids (``r1`` to
-``r<n1>``, ``h1`` to ``h<n2>``). A list is read first by a quick pass that
-takes only those ids and spaced brackets, gives each strict entry the one
-shared 1-tuple of its id, and leaves repeats to `PreferenceList`'s check.
+Both parsers look ids up in one table per kind, which maps each canonical
+id (``r1`` to ``r<n1>``, ``h1`` to ``h<n2>``) to the 1-tuple of its number.
+A list is read first by a quick pass that takes only those ids and spaced
+brackets, gives each strict entry that shared 1-tuple, and leaves repeats
+to `PreferenceList`'s check.
 A line it refuses (a token such as ``h01`` or ``(r4``, a bracket fault, an
 empty tie or a repeat) is walked token by token by `_parse_groups`, which
 alone words errors, so what is accepted and every error message are the
@@ -73,9 +74,12 @@ def _is_int(text: str) -> bool:
     return digits.isascii() and digits.isdigit()
 
 
-def _id_table(kind: str, limit: int) -> dict[str, int]:
-    """Each canonical id token of one kind, such as "h1" up to f"h{limit}", mapped to its number."""
-    return {f"{kind}{value}": value for value in range(1, limit + 1)}
+def _id_table(kind: str, limit: int) -> dict[str, tuple[int]]:
+    """Each canonical id token of one kind, "h1" up to f"h{limit}", mapped to its number's 1-tuple.
+
+    That 1-tuple is the group of the id as a strict entry, in every list.
+    """
+    return {f"{kind}{value}": (value,) for value in range(1, limit + 1)}
 
 
 def _parse_id(token: str, kind: str, limit: int, line: int) -> int:
@@ -89,20 +93,22 @@ def _parse_id(token: str, kind: str, limit: int, line: int) -> int:
     return value
 
 
-def _lookup_id(token: str, ids: dict[str, int], kind: str, line: int) -> int:
+def _lookup_id(token: str, ids: dict[str, tuple[int]], kind: str, line: int) -> int:
     """The number of an id token: from the table, or else by the full check."""
-    value = ids.get(token)
-    return value if value is not None else _parse_id(token, kind, len(ids), line)
+    entry = ids.get(token)
+    return entry[0] if entry is not None else _parse_id(token, kind, len(ids), line)
 
 
-def _parse_groups(tokens: list[str], ids: dict[str, int], kind: str, line: int) -> PreferenceList:
+def _parse_groups(
+    tokens: list[str], ids: dict[str, tuple[int]], kind: str, line: int
+) -> PreferenceList:
     """A line's list, walked in token order: it words the line's first fault."""
     groups: list[tuple[int, ...]] = []
     seen: set[int] = set()
     tie: list[int] | None = None
     for token in tokens:
-        agent = ids.get(token)
-        if agent is None:
+        entry = ids.get(token)
+        if entry is None:
             if token == "(":
                 if tie is not None:
                     raise ParseError(line, "nested tie bracket")
@@ -116,12 +122,13 @@ def _parse_groups(tokens: list[str], ids: dict[str, int], kind: str, line: int) 
                 groups.append(tuple(tie))
                 tie = None
                 continue
-            agent = _parse_id(token, kind, len(ids), line)
+            entry = (_parse_id(token, kind, len(ids), line),)
+        agent = entry[0]
         if agent in seen:
             raise ParseError(line, f"duplicate entry {token!r}")
         seen.add(agent)
         if tie is None:
-            groups.append((agent,))
+            groups.append(entry)
         else:
             tie.append(agent)
     if tie is not None:
@@ -129,13 +136,11 @@ def _parse_groups(tokens: list[str], ids: dict[str, int], kind: str, line: int) 
     return PreferenceList(tuple(groups))
 
 
-def _read_list(
-    body: str, singles: dict[str, tuple[int]], ids: dict[str, int], kind: str, line: int
-) -> PreferenceList:
+def _read_list(body: str, ids: dict[str, tuple[int]], kind: str, line: int) -> PreferenceList:
     """A line's list by the quick pass, or by `_parse_groups` if it refuses the line."""
     try:
         if "(" not in body:
-            return PreferenceList(tuple(map(singles.__getitem__, body.split())))
+            return PreferenceList(tuple(map(ids.__getitem__, body.split())))
         groups: list[tuple[int, ...]] = []
         tie: list[int] | None = None
         # A nested "(" or a stray ")" falls through to a table and misses it.
@@ -146,9 +151,9 @@ def _read_list(
                 groups.append(tuple(tie))
                 tie = None
             elif tie is None:
-                groups.append(singles[token])
+                groups.append(ids[token])
             else:
-                tie.append(ids[token])
+                tie.append(ids[token][0])
         if tie is None:
             return PreferenceList(tuple(groups))
     except (KeyError, InstanceError):
@@ -185,9 +190,6 @@ def parse_instance(text: str) -> tuple[Instance, list[ParseDiagnostic]]:
         )
     res_ids = _id_table("r", n1)
     hosp_ids = _id_table("h", n2)
-    # one 1-tuple per id, shared by every list that has it as a strict entry
-    res_singles = {token: (value,) for token, value in res_ids.items()}
-    hosp_singles = {token: (value,) for token, value in hosp_ids.items()}
 
     res_lists: list[PreferenceList] = []
     for i in range(1, n1 + 1):
@@ -197,7 +199,7 @@ def parse_instance(text: str) -> tuple[Instance, list[ParseDiagnostic]]:
             raise ParseError(num, "missing ':' after resident id")
         if _lookup_id(head.strip(), res_ids, "r", num) != i:
             raise ParseError(num, f"expected r{i} at this position, got {head.strip()!r}")
-        res_lists.append(_read_list(body, hosp_singles, hosp_ids, "h", num))
+        res_lists.append(_read_list(body, hosp_ids, "h", num))
 
     capacities: list[int] = []
     hosp_lists: list[PreferenceList] = []
@@ -221,7 +223,7 @@ def parse_instance(text: str) -> tuple[Instance, list[ParseDiagnostic]]:
         if capacity < 0:
             raise ParseError(num, f"capacity must be non-negative, got {capacity}")
         capacities.append(capacity)
-        hosp_lists.append(_read_list(body, res_singles, res_ids, "r", num))
+        hosp_lists.append(_read_list(body, res_ids, "r", num))
 
     try:
         return Instance(tuple(res_lists), tuple(map(Hospital, capacities, hosp_lists))), []

@@ -53,16 +53,12 @@ class ResidentTiesError(ValueError):
     """Reduction applies only when residents' lists are strictly ordered."""
 
 
-def _require_strict_residents(instance: Instance) -> None:
-    for i, plist in enumerate(instance.residents, start=1):
-        if not plist.is_strict():
-            raise ResidentTiesError(f"resident r{i} has tied entries")
-
-
 class _WorkingInstance:
     """Mutable preference structure shared by both passes.
 
-    Each pass cuts lists on one side with one truncation and removes the
+    It accepts only strict resident lists: it raises `ResidentTiesError`
+    at the first resident with a tie while it copies their lists. Each
+    pass cuts lists on one side with one truncation and removes the
     matching entries on the other side one at a time.
 
     A hospital's list has a slot for each rank of the list it started
@@ -77,7 +73,11 @@ class _WorkingInstance:
     def __init__(self, instance: Instance):
         self.instance = instance
         self.caps = [h.capacity for h in instance.hospitals]
-        self.res_lists = [list(p.entries()) for p in instance.residents]
+        self.res_lists: list[list[int]] = []
+        for i, plist in enumerate(instance.residents, start=1):
+            if not plist.is_strict():
+                raise ResidentTiesError(f"resident r{i} has tied entries")
+            self.res_lists.append(list(plist.entries()))
         # hospital index -> resident -> rank on the starting list; read-only
         self.hosp_ranks = [h.preferences.ranks() for h in instance.hospitals]
         self.hosp_ties: list[list] = []
@@ -129,7 +129,6 @@ class _WorkingInstance:
 
 def hospitals_offer(instance: Instance) -> tuple[Instance, set[Pair]]:
     """First reduction pass; returns the reduced instance and deleted pairs."""
-    _require_strict_residents(instance)
     work = _WorkingInstance(instance)
 
     assigned: dict[int, int] = {}
@@ -177,7 +176,6 @@ def hospitals_offer(instance: Instance) -> tuple[Instance, set[Pair]]:
 
 def residents_apply(instance: Instance) -> tuple[Instance, set[Pair]]:
     """Second reduction pass; returns the reduced instance and deleted pairs."""
-    _require_strict_residents(instance)
     work = _WorkingInstance(instance)
 
     holders: list[set[int]] = [set() for _ in range(instance.n2)]

@@ -86,7 +86,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import highs
-from .core import Matching, build_rank_table, certify
+from .core import Matching, certify
 from .draws import shuffle
 from .heuristics import promotion_starts
 from .heuristics import warm_start as default_warm_start
@@ -136,10 +136,6 @@ class _Search:
     def __init__(self, model: IpModel, options: SolveOptions):
         self.model = model
         instance = model.instance
-        # the rank table `certify` takes, for the warm start and each incumbent;
-        # the model keeps only its columns' ranks (the table shares the
-        # instance's rank maps, so building it copies none)
-        self.ranks = build_rank_table(instance)
         nvars = model.num_variables
         self.n1, self.n2 = instance.n1, instance.n2
         self.caps = [instance.capacity(j) for j in range(1, self.n2 + 1)]
@@ -186,7 +182,7 @@ class _Search:
         incumbent = options.warm_start
         if incumbent is None:
             incumbent = default_warm_start(instance)
-        problem = certify(instance, self.ranks, incumbent)
+        problem = certify(instance, incumbent)
         if problem is not None:
             raise ValueError(f"warm start {problem}")
         self.incumbent = incumbent
@@ -386,7 +382,7 @@ class _Search:
 
     def _adopt(self, matching: Matching, source: str) -> None:
         """Make a certified matching the incumbent."""
-        problem = certify(self.model.instance, self.ranks, matching)
+        problem = certify(self.model.instance, matching)
         if problem is not None:
             raise SolverInternalError(f"{source} {problem}")
         self.incumbent = matching

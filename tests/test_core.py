@@ -60,13 +60,13 @@ def test_blocking_pair_underfull_hospital(fig1, fig1_ranks):
     assert (1, 1) in blocking_pairs(fig1, fig1_ranks, m)
 
 
-def test_m0_and_m1_stable(fig1, fig1_ranks, m0, m1):
-    assert certify(fig1, fig1_ranks, m0) is None
-    assert certify(fig1, fig1_ranks, m1) is None
+def test_m0_and_m1_stable(fig1, m0, m1):
+    assert certify(fig1, m0) is None
+    assert certify(fig1, m1) is None
 
 
-def test_empty_matching_unstable(fig1, fig1_ranks):
-    assert certify(fig1, fig1_ranks, Matching({})) is not None
+def test_empty_matching_unstable(fig1):
+    assert certify(fig1, Matching({})) is not None
 
 
 def test_validate_m1_clean(fig1, m1):
@@ -139,9 +139,8 @@ def test_capacity_zero_hospital_accepted():
         residents=(PreferenceList.strict([1]),),
         hospitals=(Hospital(0, PreferenceList.strict([1])),),
     )
-    ranks = build_rank_table(inst)
     # capacity-0 hospitals never block and never match
-    assert certify(inst, ranks, Matching({})) is None
+    assert certify(inst, Matching({})) is None
 
 
 def _blocking_pairs_by_hospital(instance, ranks, matching):
@@ -175,7 +174,7 @@ def test_stability_scans_agree(data):
     pairwise = sorted(blocking_pairs(instance, ranks, matching))
     per_hospital = _blocking_pairs_by_hospital(instance, ranks, matching)
     assert pairwise == per_hospital
-    assert (certify(instance, ranks, matching) is None) == (not per_hospital)
+    assert (certify(instance, matching) is None) == (not per_hospital)
 
 
 @settings(max_examples=40, deadline=None)

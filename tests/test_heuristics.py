@@ -22,7 +22,6 @@ from maxhrt.core import (
     Instance,
     Matching,
     PreferenceList,
-    build_rank_table,
     certify,
 )
 from maxhrt.generator import GeneratorConfig, generate, sfas_like
@@ -230,7 +229,7 @@ def test_warm_start_stable_and_sized_5_or_6(fig1):
     for _ in range(20):
         relabeled, _, _ = relabel(fig1, rng)
         m = warm_start(relabeled)
-        assert certify(relabeled, build_rank_table(relabeled), m) is None
+        assert certify(relabeled, m) is None
         assert len(m) in (5, 6)
 
 
@@ -245,7 +244,7 @@ def test_warm_start_unlisted_residents_unmatched():
 def test_warm_start_always_weakly_stable(data):
     instance = data.draw(instances_strategy())
     matching = warm_start(instance)
-    assert certify(instance, build_rank_table(instance), matching) is None
+    assert certify(instance, matching) is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -253,7 +252,7 @@ def test_warm_start_always_weakly_stable(data):
 def test_gale_shapley_no_blocking_pair_in_strict(data):
     instance = data.draw(instances_strategy(ties=False))
     matching = warm_start(instance)
-    assert certify(instance, build_rank_table(instance), matching) is None
+    assert certify(instance, matching) is None
 
 
 @settings(max_examples=80, deadline=None)
@@ -261,7 +260,7 @@ def test_gale_shapley_no_blocking_pair_in_strict(data):
 def test_promotion_start_weakly_stable_with_ties_on_both_sides(data, seed):
     instance = data.draw(instances_strategy())
     matching = promotion_starts(instance)(seed)
-    assert certify(instance, build_rank_table(instance), matching) is None
+    assert certify(instance, matching) is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -310,5 +309,4 @@ def test_promotion_seeds_shuffle_the_proposal_order():
     start = promotion_starts(instance)
     matchings = {start(seed) for seed in range(8)}
     assert len(matchings) > 1
-    ranks = build_rank_table(instance)
-    assert all(certify(instance, ranks, m) is None for m in matchings)
+    assert all(certify(instance, m) is None for m in matchings)

@@ -131,7 +131,7 @@ def test_fig1_stability_row_r4_h2(fig1):
     assert row.rhs == -2
 
 
-def test_feasible_iff_stable_exhaustive(fig1, fig1_ranks):
+def test_feasible_iff_stable_exhaustive(fig1):
     # both directions of the model-correctness theorem, by brute force
     model = _model(fig1)
     stable_set = enumerate_stable_matchings(fig1)
@@ -141,7 +141,7 @@ def test_feasible_iff_stable_exhaustive(fig1, fig1_ranks):
         if is_feasible(model, vector):
             pairs = [pair for pair, x in zip(model.pairs, vector) if x == 1]
             matching = Matching.from_pairs(pairs)
-            assert certify(fig1, fig1_ranks, matching) is None
+            assert certify(fig1, matching) is None
             assert sum(vector) == len(matching)
             seen.add(matching)
     assert seen == stable_set

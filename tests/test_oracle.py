@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxhrt.core import Matching, build_rank_table, certify, validate_matching
+from maxhrt.core import Matching, certify, validate_matching
 from maxhrt.instance_io import parse_instance
 
 from conftest import M0_PAIRS, M1_PAIRS
@@ -22,13 +22,12 @@ from strategies import instances_strategy
 
 def naive_enumeration(instance):
     """Product over every resident's options, filtered by the predicates."""
-    ranks = build_rank_table(instance)
     choices = [[None] + list(p.entries()) for p in instance.residents]
     out = set()
     for combo in itertools.product(*choices):
         pairs = [(i, h) for i, h in enumerate(combo, start=1) if h is not None]
         matching = Matching.from_pairs(pairs)
-        if certify(instance, ranks, matching) is None:
+        if certify(instance, matching) is None:
             out.add(matching)
     return out
 
@@ -70,10 +69,10 @@ def test_node_budget_refusal(fig1):
         enumerate_stable_matchings(fig1, OracleLimit(node_budget=3))
 
 
-def test_every_result_valid_and_stable(fig1, fig1_ranks):
+def test_every_result_valid_and_stable(fig1):
     for m in enumerate_stable_matchings(fig1):
         assert validate_matching(fig1, m) == []
-        assert certify(fig1, fig1_ranks, m) is None
+        assert certify(fig1, m) is None
 
 
 def test_nonempty_on_random_instances():
@@ -102,7 +101,7 @@ def test_pruned_matches_naive(data):
     assert enumerate_stable_matchings(instance) == naive_enumeration(instance)
 
 
-def test_random_assignments_outside_set_fail_a_predicate(fig1, fig1_ranks):
+def test_random_assignments_outside_set_fail_a_predicate(fig1):
     stable_set = enumerate_stable_matchings(fig1)
     rng = random.Random(5)
     options = [[None] + list(p.entries()) for p in fig1.residents]
@@ -114,4 +113,4 @@ def test_random_assignments_outside_set_fail_a_predicate(fig1, fig1_ranks):
         ]
         matching = Matching.from_pairs(pairs)
         outside = matching not in stable_set
-        assert outside == (certify(fig1, fig1_ranks, matching) is not None)
+        assert outside == (certify(fig1, matching) is not None)

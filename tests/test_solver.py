@@ -103,12 +103,12 @@ def small_instances(count, seed, max_residents=9):
         )
 
 
-def test_fig1_optimal_six(fig1, fig1_ranks):
+def test_fig1_optimal_six(fig1):
     outcome = solve(_model(fig1))
     assert outcome.status is SolveStatus.OPTIMAL
     assert outcome.objective == 6
     assert outcome.proof_bound == 6
-    assert certify(fig1, fig1_ranks, outcome.matching) is None
+    assert certify(fig1, outcome.matching) is None
     assert validate_matching(fig1, outcome.matching) == []
 
 
@@ -125,8 +125,7 @@ def test_matches_oracle_on_small_instances():
         outcome = solve(_model(instance))
         assert outcome.status is SolveStatus.OPTIMAL
         assert outcome.objective == max_stable_size(instance, limit)
-        ranks = build_rank_table(instance)
-        assert certify(instance, ranks, outcome.matching) is None
+        assert certify(instance, outcome.matching) is None
 
 
 def test_objective_at_least_warm_start():
@@ -160,7 +159,7 @@ def test_search_node_counts(n1, tie_density, seed, objective, nodes, monkeypatch
     outcome = solve(_pipeline_model(instance), SolveOptions(time_limit=30.0))
     assert outcome.status is SolveStatus.OPTIMAL
     assert (outcome.objective, outcome.nodes) == (objective, nodes)
-    assert certify(instance, build_rank_table(instance), outcome.matching) is None
+    assert certify(instance, outcome.matching) is None
 
 
 def test_relabeled_objective_matches_oracle():
@@ -175,7 +174,7 @@ def test_relabeled_objective_matches_oracle():
             outcome = solve(_pipeline_model(relabeled))
             assert outcome.status is SolveStatus.OPTIMAL
             assert outcome.objective == optimum
-            assert certify(relabeled, build_rank_table(relabeled), outcome.matching) is None
+            assert certify(relabeled, outcome.matching) is None
 
 
 def test_timeout_returns_warm_start_or_better():
@@ -188,8 +187,7 @@ def test_timeout_returns_warm_start_or_better():
     assert outcome.status is SolveStatus.FEASIBLE_TIMEOUT
     assert outcome.objective >= len(warm)
     assert outcome.proof_bound >= outcome.objective
-    ranks = build_rank_table(instance)
-    assert certify(instance, ranks, outcome.matching) is None
+    assert certify(instance, outcome.matching) is None
 
 
 def test_rejects_unstable_warm_start(fig1):
@@ -532,7 +530,7 @@ def test_never_claims_beyond_highs(config, monkeypatch):
     assert outcome.objective <= optimum <= outcome.proof_bound
     if outcome.status is SolveStatus.OPTIMAL:
         assert outcome.objective == optimum
-    assert certify(instance, build_rank_table(instance), outcome.matching) is None
+    assert certify(instance, outcome.matching) is None
 
 
 # Instances whose optimum equals the root relaxation bound, where a plain
@@ -558,7 +556,7 @@ def test_primal_phase_proves_at_root(config, optimum):
     assert outcome.status is SolveStatus.OPTIMAL
     assert outcome.nodes == 1
     assert outcome.objective == outcome.proof_bound == optimum
-    assert certify(instance, build_rank_table(instance), outcome.matching) is None
+    assert certify(instance, outcome.matching) is None
 
 
 # A warm start that matches every resident with a column is optimal by
@@ -589,7 +587,7 @@ def test_warm_start_matching_every_resident_with_a_column_returns_at_once(
     assert outcome.nodes == 1
     assert outcome.objective == outcome.proof_bound == count
     assert outcome.matching == warm
-    assert certify(instance, build_rank_table(instance), outcome.matching) is None
+    assert certify(instance, outcome.matching) is None
 
 
 # The root is the same whatever the labeling: these instances, each relabeled
@@ -621,7 +619,7 @@ def test_tight_root_fixings_prove_in_few_nodes():
     assert outcome.status is SolveStatus.OPTIMAL
     assert outcome.objective == outcome.proof_bound == 149
     assert outcome.nodes <= 50
-    assert certify(instance, build_rank_table(instance), outcome.matching) is None
+    assert certify(instance, outcome.matching) is None
 
 
 # Roots the count leaves open but the placement grown from the warm start
@@ -659,7 +657,7 @@ def test_seeds_close_the_root_before_propagation(config, optimum, seeds, monkeyp
     assert outcome.nodes == 1
     assert outcome.objective == outcome.proof_bound == optimum
     assert tried == seeds
-    assert certify(instance, build_rank_table(instance), outcome.matching) is None
+    assert certify(instance, outcome.matching) is None
 
 
 # Small instances where the root's promotion starts end one below the root
@@ -816,7 +814,7 @@ def test_tries_at_the_fork_prove_at_the_root_bound(config, optimum, seed, monkey
     assert outcome.status is SolveStatus.OPTIMAL
     assert outcome.objective == outcome.proof_bound == optimum
     assert outcome.nodes == ESCALATE_AFTER_NODES
-    assert certify(instance, build_rank_table(instance), outcome.matching) is None
+    assert certify(instance, outcome.matching) is None
 
 
 @pytest.mark.parametrize("config, optimum, seed", TRIES_AT_THE_FORK)
@@ -928,7 +926,7 @@ def test_highs_child_answers_optimal():
         assert columns is not None
         matching = Matching.from_pairs(model.pairs[c] for c in columns)
         assert len(matching) == optimum
-        assert certify(model.instance, build_rank_table(model.instance), matching) is None
+        assert certify(model.instance, matching) is None
 
 
 def test_start_without_fork_races_nothing(single_pair, monkeypatch):
@@ -1000,7 +998,7 @@ def test_race_proves_what_the_search_alone_cannot():
     assert outcome.status is SolveStatus.OPTIMAL
     assert outcome.objective == outcome.proof_bound == 99
     assert outcome.nodes >= ESCALATE_AFTER_NODES
-    assert certify(instance, build_rank_table(instance), outcome.matching) is None
+    assert certify(instance, outcome.matching) is None
 
 
 def test_race_rejects_an_unstable_highs_optimum(monkeypatch):
@@ -1198,7 +1196,7 @@ def test_race_from_the_first_node_agrees_with_highs(config, monkeypatch):
     _assert_no_child()
     assert outcome.status is SolveStatus.OPTIMAL
     assert outcome.objective == outcome.proof_bound == optimum
-    assert certify(instance, build_rank_table(instance), outcome.matching) is None
+    assert certify(instance, outcome.matching) is None
 
 
 def test_solver_import_loads_no_heavy_modules():

@@ -11,17 +11,22 @@ stable marriage", Algorithms 2013). Two tie policies feed it:
   ranks are strict. A stable matching of the tie-broken instance is weakly
   stable in the original. On strict ranks promotion is inert (see
   `_deferred_acceptance`), so this is Gale–Shapley's resident-optimal
-  matching of the tie-broken instance.
+  matching of a tie-broken instance.
 * `promotion_starts` breaks only the residents' ties and keeps the
   hospitals' ties, where promotion does act. With ties on the hospital
   side only its size is at least 2/3 of the maximum; the exact solver
   tries it under many seeds to raise its incumbent.
 
+In both, a tied resident whose next hospital has no free post applies
+first to the next member of that tie with one; the two swap places in a
+per-call copy of its list, never in `PreferenceList.entries()`. Strict lists
+are unaffected, and the result stays weakly stable (`_deferred_acceptance`).
+
 A seed fixes two things, drawn from one `random.Random(seed)` in this
 order: first the shuffle of each resident tie, residents in index order,
 then, for a seed other than 0, the order in which the free residents make
 their first proposals. The tie shuffles are drawn first, so the proposal
-shuffle does not change how a seed breaks the residents' ties. On strict
+shuffle does not change a seed's shuffles of the residents' ties. On strict
 resident lists the proposal order is all a seed changes; where the
 hospitals' lists are strict too, every order gives Gale–Shapley's
 resident-optimal matching. All of these draws go through one kernel,
@@ -47,10 +52,8 @@ def _ties(plist: PreferenceList) -> list[tuple[int, int]]:
     return spans
 
 
-def _broken(plist: PreferenceList, getrandbits: Callable[[int], int]) -> Sequence[int]:
-    """The list's entries in order, each tie's members shuffled."""
-    if plist.is_strict():
-        return plist.entries()
+def _broken(plist: PreferenceList, getrandbits: Callable[[int], int]) -> list[int]:
+    """A fresh copy of the list's entries in order, each tie's members shuffled."""
     entries = list(plist.entries())
     for lo, hi in _ties(plist):
         shuffle(entries, lo, hi, getrandbits)
@@ -61,11 +64,12 @@ def _deferred_acceptance(
     hosp_rank: Sequence[Mapping[int, int]],
     caps: Sequence[int],
     res_lists: Sequence[Sequence[int]],
+    res_rank: Sequence[Mapping[int, int] | None],
     free: list[int],
 ) -> Matching:
     """Residents apply down `res_lists`; hospitals keep their own ranks.
 
-    Residents, hospitals and the three sequences are indexed by id, with
+    Residents, hospitals and the four sequences are indexed by id, with
     an unused entry 0; the free residents are popped from the end of
     `free`. A hospital keeps each assignee's key, `2 * rank + (not
     promoted)`, so a promoted resident beats the unpromoted ones it ranks
@@ -78,7 +82,12 @@ def _deferred_acceptance(
     list again. Where no hospital ranks two residents the same, promotion
     is inert: keys then compare as ranks do, so every hospital on a
     promoted resident's list still holds only residents it ranks higher,
-    and the second pass changes nothing.
+    and the second pass changes nothing. `res_rank` holds a tied resident's
+    rank map (one rank, one tie) and None for a strict one, whose run is
+    unchanged. A tied resident whose next hospital has no free post swaps
+    it in its per-call list (never `entries()`) with the first later member
+    of that tie that has one, and applies there. Only untried members of
+    the tie move, so the list stays a tie-breaking and the argument holds.
     """
     next_choice = [0] * len(res_lists)
     unpromoted = [1] * len(res_lists)
@@ -87,6 +96,7 @@ def _deferred_acceptance(
     while free:
         i = free.pop()
         prefs = res_lists[i]
+        rank = res_rank[i]
         k = next_choice[i]
         while True:
             if k == len(prefs):
@@ -96,6 +106,14 @@ def _deferred_acceptance(
                 k = 0
             j = prefs[k]
             k += 1
+            if rank is not None and len(holders[j]) >= caps[j]:
+                for m in range(k, len(prefs)):
+                    other = prefs[m]
+                    if rank[other] != rank[j]:
+                        break
+                    if len(holders[other]) < caps[other]:
+                        prefs[k - 1], prefs[m], j = other, j, other
+                        break
             cap = caps[j]
             if not cap:
                 continue
@@ -126,7 +144,12 @@ def warm_start(instance: Instance) -> Matching:
     by their places in its broken order.
     """
     getrandbits = random.Random(0).getrandbits
-    res_lists = [(), *(_broken(p, getrandbits) for p in instance.residents)]
+    res_lists: list[Sequence[int]] = [()]
+    res_rank: list[Mapping[int, int] | None] = [None]
+    for plist in instance.residents:
+        strict = plist.is_strict()
+        res_lists.append(plist.entries() if strict else _broken(plist, getrandbits))
+        res_rank.append(None if strict else plist.ranks())
     hosp_rank: list[Mapping[int, int]] = [{}]
     for hosp in instance.hospitals:
         plist = hosp.preferences
@@ -135,7 +158,7 @@ def warm_start(instance: Instance) -> Matching:
         else:
             hosp_rank.append({i: k for k, i in enumerate(_broken(plist, getrandbits), start=1)})
     caps = [0, *(h.capacity for h in instance.hospitals)]
-    return _deferred_acceptance(hosp_rank, caps, res_lists, list(range(instance.n1, 0, -1)))
+    return _deferred_acceptance(hosp_rank, caps, res_lists, res_rank, [*range(instance.n1, 0, -1)])
 
 
 def promotion_starts(instance: Instance) -> Callable[[int], Matching]:
@@ -153,7 +176,8 @@ def promotion_starts(instance: Instance) -> Callable[[int], Matching]:
     caps = [0, *(h.capacity for h in instance.hospitals)]
     n1 = instance.n1
     entries: list[Sequence[int]] = [(), *(p.entries() for p in instance.residents)]
-    tied = [(i, _ties(p)) for i, p in enumerate(instance.residents, start=1) if not p.is_strict()]
+    res_rank = [None, *(None if p.is_strict() else p.ranks() for p in instance.residents)]
+    tied = [(i, _ties(instance.residents[i - 1])) for i, r in enumerate(res_rank) if r is not None]
 
     def start(seed: int) -> Matching:
         getrandbits = random.Random(seed).getrandbits
@@ -165,6 +189,6 @@ def promotion_starts(instance: Instance) -> Callable[[int], Matching]:
         free = list(range(n1, 0, -1))
         if seed:
             shuffle(free, 0, n1, getrandbits)
-        return _deferred_acceptance(hosp_rank, caps, res_lists, free)
+        return _deferred_acceptance(hosp_rank, caps, res_lists, res_rank, free)
 
     return start

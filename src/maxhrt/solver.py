@@ -11,10 +11,11 @@
    b. The bound becomes a capacitated bipartite matching relaxation that
       ignores stability rows, grown from the incumbent's placement with
       nothing fixed. Promotion starts (Király's deferred acceptance,
-      `heuristics.promotion_starts`) are tried, each before the deadline,
-      and the largest is kept: seeds 0 to PROMOTION_TRIES - 1. Beyond seed
-      0 a seed also shuffles the proposal order, so the tries differ even
-      where every resident's list is strict.
+      `heuristics.promotion_starts`, where a tied resident applies first
+      to a hospital in its tie with a free post) are tried, each before
+      the deadline, and the largest is kept: seeds 0 to PROMOTION_TRIES - 1.
+      Beyond seed 0 a seed also shuffles the proposal order, so the tries
+      differ even where every resident's list is strict.
    c. Propagation with nothing fixed (only here does a failed one raise
       `SolverInternalError`), then the bound again from a fresh placement.
    d. An incumbent one below the bound leaves only maximum placements of

@@ -5,12 +5,12 @@ instance it is Gale–Shapley; the `test_gale_shapley_*` tests pin it there.
 `reference_warm_start` builds the tie-broken instance and runs a textbook
 Gale–Shapley on it, the reference for `warm_start` on instances with ties.
 `reference_promotion_start` breaks the residents' ties and runs a textbook
-promotion deferred acceptance, the reference for `promotion_starts`.
+promotion deferred acceptance, the reference for `promotion_starts`. Both
+apply the free-post rule, `reference_take_free_post`, before each proposal.
 """
 
 import math
 import random
-from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -55,22 +55,48 @@ def reference_break_ties(instance):
     return Instance(residents=residents, hospitals=hospitals)
 
 
+def reference_take_free_post(plist, entries, k, has_free_post):
+    """The free-post rule, applied before a resident proposes to `entries[k]`.
+
+    `plist` is the resident's original list and `entries` its broken order.
+    If `entries[k]` has no free post, the first later member of its tie in
+    `entries` that has one swaps places with it.
+    """
+    if has_free_post(entries[k]):
+        return
+    tie = next(group for group in plist.groups if entries[k] in group)
+    for m, hosp in enumerate(entries[k + 1:], start=k + 1):
+        if hosp in tie and has_free_post(hosp):
+            entries[k], entries[m] = hosp, entries[k]
+            return
+
+
 def reference_warm_start(instance):
     """Textbook Gale–Shapley on the tie-broken instance, the reference for `warm_start`.
 
-    Free residents propose down their lists, first come first served; a
-    hospital holds its best `capacity` proposers so far and rejects the rest.
+    Free residents form a stack, resident 1 on top. The top resident
+    proposes to its next hospital, after the free-post rule, and a hospital
+    holds its best `capacity` proposers so far; the one it rejects goes on
+    top. The rule makes the result depend on the proposal order, so the
+    order is the one `warm_start` uses.
     """
     strict = reference_break_ties(instance)
     ranks = [h.preferences.ranks() for h in strict.hospitals]
+    lists = [list(p.entries()) for p in strict.residents]
     next_choice = [0] * strict.n1
     held = [[] for _ in strict.hospitals]
-    free = deque(range(1, strict.n1 + 1))
+
+    def has_free_post(j):
+        return len(held[j - 1]) < strict.capacity(j)
+
+    free = list(range(strict.n1, 0, -1))
     while free:
-        i = free.popleft()
-        prefs = strict.residents[i - 1].entries()
+        i = free.pop()
+        prefs = lists[i - 1]
         if next_choice[i - 1] == len(prefs):
             continue
+        plist = instance.residents[i - 1]
+        reference_take_free_post(plist, prefs, next_choice[i - 1], has_free_post)
         j = prefs[next_choice[i - 1]]
         next_choice[i - 1] += 1
         held[j - 1].append(i)
@@ -85,11 +111,11 @@ def reference_promotion_start(instance, seed):
 
     One `random.Random(seed)` shuffles each resident tie, residents in
     index order, and then, for a seed other than 0, the free residents,
-    a stack popped from its end. Each popped resident proposes once. A
-    hospital keeps its ties and keys each assignee `2 * rank + (not
-    promoted)`; a full one displaces the first assignee with the largest
-    key, only for a strictly smaller key. A resident that runs out of
-    hospitals is promoted once and starts its list again.
+    a stack popped from its end. Each popped resident proposes once, after
+    the free-post rule. A hospital keeps its ties and keys each assignee
+    `2 * rank + (not promoted)`; a full one displaces the first assignee
+    with the largest key, only for a strictly smaller key. A resident that
+    runs out of hospitals is promoted once and starts its list again.
     """
     rng = random.Random(seed)
     lists = [None]
@@ -108,6 +134,10 @@ def reference_promotion_start(instance, seed):
     promoted = [False] * (instance.n1 + 1)
     next_choice = [0] * (instance.n1 + 1)
     held = [[] for _ in range(instance.n2 + 1)]
+
+    def has_free_post(j):
+        return len(held[j]) < instance.capacity(j)
+
     while free:
         i = free.pop()
         if next_choice[i] == len(lists[i]):
@@ -115,9 +145,11 @@ def reference_promotion_start(instance, seed):
                 continue
             promoted[i] = True
             next_choice[i] = 0
+        plist = instance.residents[i - 1]
+        reference_take_free_post(plist, lists[i], next_choice[i], has_free_post)
         j = lists[i][next_choice[i]]
         next_choice[i] += 1
-        if len(held[j]) < instance.capacity(j):
+        if has_free_post(j):
             held[j].append(i)
             continue
         keys = [2 * ranks[j][r] + (not promoted[r]) for r in held[j]]
@@ -218,6 +250,34 @@ h3: 2: r5 r3
     strict, warnings = parse_instance(text)
     assert not warnings
     assert warm_start(strict) == m0
+
+
+def test_warm_start_applies_to_a_free_post_in_the_tie():
+    # r2's seeded order puts h1 first, but r1 already fills h1's one post, so
+    # r2 applies to h2, free in the same tie, and r1 keeps h1. Applying to h1
+    # would displace r1, whom h1 ranks below r2, and leave r1 unmatched.
+    instance, warnings = parse_instance("2 2\nr1: h1\nr2: ( h1 h2 )\nh1: 1: r2 r1\nh2: 1: r2\n")
+    assert not warnings
+    assert reference_break_ties(instance).residents[1].entries() == (1, 2)
+    assert warm_start(instance) == Matching({1: 1, 2: 2})
+    assert promotion_starts(instance)(0) == Matching({1: 1, 2: 2})
+
+
+def test_a_post_of_capacity_0_is_not_free():
+    # r3's tie has the seeded order h1 h2 h3 h4, where h1 has capacity 0 and
+    # r1, r2 fill h2, h3. At h1, r3 applies to h4, the first free post, and
+    # h1 takes h4's place: r3's list is h4 h2 h3 h1. r4 displaces r3 from h4,
+    # so r3 applies next to h2 and displaces r1. Had h1 been passed over
+    # without the rule, r3 would swap h2 with h4 instead, leaving h1 h4 h3 h2,
+    # and after r4 it would displace r2 from h3. Deferred acceptance without
+    # the rule ends here too, so this pins only the capacity-0 case.
+    text = "4 4\nr1: h2\nr2: h3\nr3: ( h2 h3 h1 h4 )\nr4: h4\n"
+    text += "h1: 0: r3\nh2: 1: r3 r1\nh3: 1: r3 r2\nh4: 1: r4 r3\n"
+    instance, warnings = parse_instance(text)
+    assert not warnings
+    assert reference_break_ties(instance).residents[2].entries() == (1, 2, 3, 4)
+    assert warm_start(instance) == Matching({2: 3, 3: 2, 4: 4})
+    assert promotion_starts(instance)(0) == Matching({2: 3, 3: 2, 4: 4})
 
 
 def test_gale_shapley_single_pair(single_pair):

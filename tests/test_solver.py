@@ -1,5 +1,6 @@
 """Branch-and-bound solver against the enumeration oracle and its contracts."""
 
+import itertools
 import os
 import random
 import signal
@@ -536,7 +537,8 @@ def test_never_claims_beyond_highs(config, monkeypatch):
 # Instances whose optimum equals the root relaxation bound, where a plain
 # Gale-Shapley warm start falls short and the search alone once timed out.
 # The root's promotion starts find the optimum before branching (on
-# (200, 0.85, 8) at seed 12), so the proof needs one node; the time limit is
+# (200, 0.85, 8) at seed 12; on the two-sided instance, whose warm start
+# reaches 196, at seed 1), so the proof needs one node; the time limit is
 # far above what that takes. On (300, 0.5, 7) all 300 residents have a
 # column but the root bound is 297, so a root that took the count for its
 # bound would search instead.
@@ -544,8 +546,8 @@ def test_never_claims_beyond_highs(config, monkeypatch):
     "config, optimum",
     [pytest.param(sfas_like(300, 0.85, 8), 300, id="sfas-300-0.85-8"),
      pytest.param(sfas_like(200, 0.85, 8), 200, id="sfas-200-0.85-8"),
-     pytest.param(GeneratorConfig(150, 10, 150, 5, 0.3, 0.5, seed=7), 150,
-                  id="two-sided-150-7"),
+     pytest.param(GeneratorConfig(200, 14, 200, 5, 0.3, 0.5, seed=6), 200,
+                  id="two-sided-200-6"),
      pytest.param(sfas_like(300, 0.5, 7), 297, id="sfas-300-0.5-7")],
 )
 def test_primal_phase_proves_at_root(config, optimum):
@@ -626,11 +628,11 @@ def test_tight_root_fixings_prove_in_few_nodes():
 # closes: the seeds meet it, so the root never propagates. (300, 0.5, 7)
 # reaches 297 at seed 0 with all 300 residents holding a column, so a seed
 # target above the bound would spend every try; the two-sided instance needs
-# seeds 0-10; on (100, 0.5, 7) the warm start already meets the bound.
+# seeds 0 and 1; on (100, 0.5, 7) the warm start already meets the bound.
 @pytest.mark.parametrize(
     "config, optimum, seeds",
     [pytest.param(sfas_like(300, 0.5, 7), 297, [0], id="sfas-300-0.5-7"),
-     pytest.param(GeneratorConfig(200, 14, 200, 5, 0.3, 0.5, seed=3), 200, list(range(11)),
+     pytest.param(GeneratorConfig(200, 14, 200, 5, 0.3, 0.5, seed=3), 200, [0, 1],
                   id="two-sided-200-3"),
      pytest.param(sfas_like(100, 0.5, 7), 97, [], id="sfas-100-0.5-7")],
 )
@@ -794,16 +796,41 @@ def test_a_deciding_child_stops_the_tries(monkeypatch):
     assert search.incumbent == warm
 
 
-# Instances whose optimum is the root bound, where the search alone and
-# every root try fall short. The tries made while the race's child starts
-# reach it: the two-sided instances at seeds 73 and 59. The child here has
-# no optimum, so the tries alone prove them.
-TRIES_AT_THE_FORK = [
-    pytest.param(GeneratorConfig(200, 14, 200, 5, 0.3, 0.5, seed=4), 200, 73,
+# Instances whose optimum is the root bound, where the warm start falls short
+# and the root's tries reach it: at seeds 10 and 14, since a resident applies
+# first to a hospital with a free post in its tie. Without that rule they
+# waited for the fork's seeds 73 and 59, after 1 000 search nodes. The race
+# is off, so the root alone proves them.
+TRIES_AT_THE_ROOT = [
+    pytest.param(GeneratorConfig(200, 14, 200, 5, 0.3, 0.5, seed=4), 200, 10,
                  id="two-sided-200-4"),
-    pytest.param(GeneratorConfig(150, 10, 150, 5, 0.3, 0.5, seed=0), 150, 59,
+    pytest.param(GeneratorConfig(150, 10, 150, 5, 0.3, 0.5, seed=0), 150, 14,
                  id="two-sided-150-0"),
 ]
+
+# Instances whose optimum is the root bound, where the search alone and
+# every root try fall short. The tries made while the race's child starts
+# reach it, at seeds 45 and 64. The child here has no optimum, so the tries
+# alone prove them.
+TRIES_AT_THE_FORK = [
+    pytest.param(GeneratorConfig(200, 14, 200, 5, 0.3, 0.5, seed=30), 200, 45,
+                 id="two-sided-200-30"),
+    pytest.param(GeneratorConfig(200, 14, 200, 5, 0.3, 0.5, seed=86), 200, 64,
+                 id="two-sided-200-86"),
+]
+
+
+@pytest.mark.parametrize("config, optimum, seed", TRIES_AT_THE_ROOT)
+def test_tries_at_the_root_prove_at_the_root_bound(config, optimum, seed, monkeypatch):
+    monkeypatch.setattr("maxhrt.solver.ESCALATE_AFTER_NODES", 10**9)
+    instance = generate(config)
+    model = _pipeline_model(instance)
+    assert len(warm_start(model.instance)) < optimum
+    outcome = solve(model, SolveOptions(time_limit=3.5))
+    assert outcome.status is SolveStatus.OPTIMAL
+    assert outcome.objective == outcome.proof_bound == optimum
+    assert outcome.nodes == 1
+    assert certify(instance, outcome.matching) is None
 
 
 @pytest.mark.parametrize("config, optimum, seed", TRIES_AT_THE_FORK)
@@ -817,11 +844,29 @@ def test_tries_at_the_fork_prove_at_the_root_bound(config, optimum, seed, monkey
     assert certify(instance, outcome.matching) is None
 
 
-@pytest.mark.parametrize("config, optimum, seed", TRIES_AT_THE_FORK)
+@pytest.mark.parametrize("config, optimum, seed", [*TRIES_AT_THE_ROOT, *TRIES_AT_THE_FORK])
 def test_first_seed_at_the_root_bound(config, optimum, seed):
     start = promotion_starts(_pipeline_model(generate(config)).instance)
     sizes = [len(start(s)) for s in range(seed + 1)]
     assert sizes[seed] == optimum > max(sizes[:seed])
+
+
+# Two-sided instances off the benchmark's pool: n1 in {100, 150, 200, 300},
+# resident tie densities 0.3 and 0.6, seeds 20-31. The warm start and the
+# root's seeds 0 to PROMOTION_TRIES - 1 reach the unreduced root bound on 92
+# of the 96; with ties broken by the seeded shuffle alone, on 83.
+def test_root_starts_reach_the_bound_off_the_pool():
+    reached = 0
+    for n1 in (100, 150, 200, 300):
+        for density in (0.3, 0.6):
+            for seed in range(20, 32):
+                instance = generate(GeneratorConfig(n1, int(0.07 * n1), n1, 5, density, 0.5, seed))
+                bound = upper_bound(_model(instance), {})
+                start = promotion_starts(instance)
+                sizes = itertools.chain([len(warm_start(instance))],
+                                        (len(start(s)) for s in range(PROMOTION_TRIES)))
+                reached += any(size >= bound for size in sizes)
+    assert reached >= 92
 
 
 def test_long_augmenting_path_chain():
@@ -1051,14 +1096,15 @@ def _answer_once_improved(monkeypatch, answer_for):
     return adopted, at_fork
 
 
-def _two_sided_200_7():
-    """Two-sided n1 = 200 seed 7: the root's tries end at 194 under a root
-    bound of 200, and the tries at the fork raise it to 196."""
-    return _model(generate(GeneratorConfig(200, 14, 200, 5, 0.3, 0.5, seed=7)))
+def _two_sided_300_31():
+    """Two-sided n1 = 300 seed 31: the warm start reaches 295, the root's
+    tries end at 297 under a root bound of 300, and the tries at the fork
+    raise it to 298."""
+    return _model(generate(GeneratorConfig(300, 21, 300, 5, 0.3, 0.5, seed=31)))
 
 
 def test_race_accepts_a_highs_optimum_equal_to_the_improved_incumbent(monkeypatch):
-    model = _two_sided_200_7()
+    model = _two_sided_300_31()
     adopted, at_fork = _answer_once_improved(monkeypatch, lambda m: _optimal_answer(model, m))
     outcome = solve(model, SolveOptions(time_limit=60.0))
     assert outcome.status is SolveStatus.OPTIMAL
@@ -1069,10 +1115,10 @@ def test_race_accepts_a_highs_optimum_equal_to_the_improved_incumbent(monkeypatc
 
 def test_race_rejects_a_highs_optimum_below_the_incumbent(monkeypatch):
     # the child's matching is certified, but smaller than one the search holds
-    model = _two_sided_200_7()
+    model = _two_sided_300_31()
     warm = warm_start(model.instance)
     _answer_once_improved(monkeypatch, lambda matching: _optimal_answer(model, warm))
-    with pytest.raises(SolverInternalError, match="HiGHS optimum 1.. is below the incumbent"):
+    with pytest.raises(SolverInternalError, match="HiGHS optimum 295 is below the incumbent"):
         solve(model, SolveOptions(time_limit=60.0))
 
 

@@ -16,9 +16,8 @@ hospitals, whatever the density. The first three go through the kernels
 of `draws`, which take each draw as `random.Random`'s own `randrange`,
 `sample` (for at most 21 hospitals; more still call `sample`) and
 `shuffle` take it, so a config gives the same bytes as through those
-methods; `test_below_draws_as_randrange`,
-`test_sample_draws_as_random_sample` and
-`test_shuffle_draws_as_random_shuffle` pin each kernel to its method.
+methods; `draws`' docstring names the tests that pin each kernel to its
+method.
 """
 
 from __future__ import annotations

@@ -28,8 +28,9 @@ index when `IpModel.constraints` is first read, and kept, in this order:
 A 0/1 point is feasible exactly when it is the indicator vector of a
 weakly stable matching.
 
-In the program only `export_lp` reads the rows; the benchmark takes the
-model's row and nonzero counts from them. The solver's search reads the
+No program module reads the rows. The benchmark takes the model's row
+and nonzero counts from them and hands them to HiGHS for its reference
+optima, and the tests check them. The solver's search reads the
 pair index, and so does its HiGHS child, which builds the sparser
 tie-count form of the same model from it (`highs.tie_count_rows`): a
 stability row here sums the hospital's whole prefix through the
@@ -125,54 +126,3 @@ def build_model(instance: Instance, ranks: RankTable) -> IpModel:
         res_rank=res_rank,
         hosp_rank=hosp_rank,
     )
-
-
-def _wrap_terms(prefix: str, terms: list[str], limit: int = 76) -> list[str]:
-    lines = [prefix]
-    for term in terms:
-        if len(lines[-1]) + len(term) + 1 > limit:
-            lines.append(" " + term)
-        else:
-            lines[-1] += " " + term
-    return lines
-
-
-def _format_row(model: IpModel, constraint: LinearConstraint) -> list[str]:
-    terms = []
-    for position, (col, c) in enumerate(constraint.coefficients):
-        i, j = model.pairs[col]
-        name = f"x_{i}_{j}"
-        if c >= 0:
-            sign = "+ " if position > 0 else ""
-        else:
-            sign = "- "
-        magnitude = "" if abs(c) == 1 else f"{abs(c)} "
-        terms.append(f"{sign}{magnitude}{name}")
-    if not terms:
-        # a row over no column (an agent without one): keep it syntactically valid
-        i, j = model.pairs[0]
-        terms = [f"0 x_{i}_{j}"]
-    terms.append(f"<= {constraint.rhs}")
-    return _wrap_terms(f" {constraint.name}:", terms)
-
-
-def export_lp(model: IpModel) -> str:
-    """Standard LP-file text for the model (ASCII, LF newlines)."""
-    if not model.pairs:
-        # an empty row is written as "0 x" over some variable, and there is none
-        raise ValueError(
-            "cannot export a model with no variables:"
-            " no acceptable pair has a hospital with a post"
-        )
-    lines = ["Maximize"]
-    objective = [
-        ("+ " if pos > 0 else "") + f"x_{i}_{j}" for pos, (i, j) in enumerate(model.pairs)
-    ]
-    lines.extend(_wrap_terms(" obj:", objective))
-    lines.append("Subject To")
-    for constraint in model.constraints:
-        lines.extend(_format_row(model, constraint))
-    lines.append("Binary")
-    lines.extend(f" x_{i}_{j}" for i, j in model.pairs)
-    lines.append("End")
-    return "\n".join(lines) + "\n"

@@ -1,6 +1,6 @@
 """Shared fixtures: the six-resident example instance and its known matchings,
-the test of a point against one of the model's rows, and the model's columns
-looked up by pair.
+the test of a point against one of the model's rows, the model's columns
+looked up by pair, and the optimum HiGHS proves on the model's rows.
 
 FIG1_TEXT deliberately contains a one-sided entry (h2 lists r2 while r2 does
 not list h2) to exercise mutuality pruning. After pruning the instance has
@@ -60,6 +60,32 @@ def encode(model, matching):
     for pair in matching.pairs():
         vector[columns[pair]] = 1
     return vector
+
+
+def highs_optimum(model):
+    """Maximum weakly stable matching size, proved by HiGHS on the model."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csr_matrix
+
+    rows, cols, vals, rhs = [], [], [], []
+    for r, constraint in enumerate(model.constraints):
+        for col, coeff in constraint.coefficients:
+            rows.append(r)
+            cols.append(col)
+            vals.append(coeff)
+        rhs.append(constraint.rhs)
+    n = model.num_variables
+    matrix = csr_matrix((vals, (rows, cols)), shape=(len(rhs), n))
+    result = milp(
+        c=-np.ones(n),
+        constraints=LinearConstraint(matrix, -np.inf, np.array(rhs, dtype=float)),
+        integrality=np.ones(n),
+        bounds=Bounds(0, 1),
+        options={"time_limit": 60},
+    )
+    assert result.status == 0, result.message
+    return round(-result.fun)
 
 
 @pytest.fixture(scope="session")

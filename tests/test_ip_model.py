@@ -1,18 +1,17 @@
-"""Model construction, feasibility semantics, and LP export."""
+"""Model construction and feasibility semantics."""
 
 import itertools
 import random
-import re
 
 import pytest
 from hypothesis import given, settings
 
 from maxhrt.core import Matching, build_rank_table, certify
 from maxhrt.instance_io import parse_instance
-from maxhrt.ip_model import LinearConstraint, build_model, export_lp
+from maxhrt.ip_model import LinearConstraint, build_model
 from maxhrt.generator import GeneratorConfig, generate
 
-from conftest import M1_PAIRS, column_of, encode, violated_by
+from conftest import M1_PAIRS, column_of, encode, highs_optimum, violated_by
 from oracle import OracleLimit, enumerate_stable_matchings, max_stable_size
 from strategies import instances_strategy
 
@@ -161,100 +160,32 @@ def test_m1_indicator_feasible(fig1):
     assert is_feasible(model, encode(model, Matching.from_pairs(M1_PAIRS)))
 
 
-def test_export_lp_single_pair(single_pair):
-    text = export_lp(_model(single_pair))
-    assert "stab_1_1: - 2 x_1_1 <= -1" in text
-    assert text.startswith("Maximize\n")
-    assert text.rstrip().endswith("End")
-
-
-def test_export_lp_rejects_model_without_variables():
-    # r1 lists nothing; then every acceptable pair goes to a hospital with no post
-    for text in ("1 1\nr1:\nh1: 1:\n", "2 2\nr1: h1\nr2: h1 h2\nh1: 0: r1 r2\nh2: 0: r2\n"):
-        instance, _ = parse_instance(text)
-        with pytest.raises(ValueError) as info:
-            export_lp(_model(instance))
-        assert str(info.value) == (
-            "cannot export a model with no variables:"
-            " no acceptable pair has a hospital with a post"
-        )
-
-
-def test_export_lp_fig1_rows_and_binaries(fig1):
-    text = export_lp(_model(fig1))
-    rows = re.findall(r"^ (res|cap|stab)\S*:", text, flags=re.M)
-    assert len(rows) == 19
-    binary_section = text.split("Binary\n")[1].split("End")[0]
-    assert len(binary_section.split()) == 10
-
-
-def parse_lp(text):
-    """Minimal reader for the exported subset of the LP format."""
-    body = text.replace("\n", " ")
-    objective = re.search(r"Maximize\s+obj:(.*?)Subject To", body).group(1)
-    rows_text = re.search(r"Subject To(.*?)Binary", body).group(1)
-    names = re.findall(r"x_\d+_\d+", text)
-    columns = {}
-    for name in names:
-        columns.setdefault(name, len(columns))
-
-    def parse_terms(expr):
-        coeffs = {}
-        for sign, mag, name in re.findall(r"([+-]?)\s*(\d*)\s*(x_\d+_\d+)", expr):
-            value = int(mag) if mag else 1
-            if sign == "-":
-                value = -value
-            coeffs[columns[name]] = coeffs.get(columns[name], 0) + value
-        return coeffs
-
-    obj = parse_terms(objective)
-    rows = []
-    for chunk in re.findall(r"\S+:(.*?)<=\s*(-?\d+)", rows_text):
-        rows.append((parse_terms(chunk[0]), int(chunk[1])))
-    return len(columns), obj, rows
-
-
 @pytest.mark.highs
 def test_lp_reimport_matches_oracle_optimum():
-    # independent route: exported text -> generic reader -> HiGHS
-    import numpy as np
-    from scipy.optimize import Bounds, LinearConstraint as ScipyRow, milp
-
+    # independent route: the model's rows -> HiGHS, against the oracle's
+    # enumeration. The random instances' largest matchings are nearly always
+    # weakly stable too, so the first instance is one where they are not: its
+    # largest matching, r1-h2 and r2-h1, is blocked by (r1, h1), and only the
+    # stability rows bring the optimum down to 1.
+    instances = [parse_instance("2 2\nr1: h1 h2\nr2: h1\nh1: 1: r1 r2\nh2: 1: r1\n")[0]]
     rng = random.Random(31)
     for _ in range(12):
         n2 = rng.randint(2, 3)
-        instance = generate(
-            GeneratorConfig(
-                n1=rng.randint(3, 8),
-                n2=n2,
-                total_posts=rng.randint(2, 8),
-                list_length=min(2, n2),
-                tie_density_residents=0.0,
-                tie_density_hospitals=rng.choice([0.4, 0.8]),
-                seed=rng.randrange(10**6),
+        instances.append(
+            generate(
+                GeneratorConfig(
+                    n1=rng.randint(3, 8),
+                    n2=n2,
+                    total_posts=rng.randint(2, 8),
+                    list_length=min(2, n2),
+                    tie_density_residents=0.0,
+                    tie_density_hospitals=rng.choice([0.4, 0.8]),
+                    seed=rng.randrange(10**6),
+                )
             )
         )
+    for instance in instances:
         model = _model(instance)
         if model.num_variables == 0:
             continue
-        ncols, obj, rows = parse_lp(export_lp(model))
-        assert ncols == model.num_variables
-        c = np.zeros(ncols)
-        for col, value in obj.items():
-            c[col] = -value
-        mats, ubs = [], []
-        for coeffs, rhs in rows:
-            row = np.zeros(ncols)
-            for col, value in coeffs.items():
-                row[col] = value
-            mats.append(row)
-            ubs.append(rhs)
-        result = milp(
-            c=c,
-            constraints=ScipyRow(np.array(mats), -np.inf, np.array(ubs)),
-            integrality=np.ones(ncols),
-            bounds=Bounds(0, 1),
-        )
-        assert result.status == 0
-        external = round(-result.fun)
-        assert external == max_stable_size(instance, OracleLimit(max_pairs=99))
+        assert highs_optimum(model) == max_stable_size(instance, OracleLimit(max_pairs=99))

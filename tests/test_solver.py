@@ -39,7 +39,7 @@ from maxhrt.solver import (
     solve,
 )
 
-from conftest import M1_PAIRS, column_of, encode
+from conftest import M1_PAIRS, column_of, encode, highs_optimum
 from oracle import OracleLimit, max_stable_size
 from reference_placement import reference_max_placement
 from strategies import instances_strategy, relabel
@@ -474,32 +474,6 @@ def test_select_var_refreshes_a_spent_guide():
     col = search._select_var()
     assert col >= 0 and search.state[col] == _UNFIXED
     assert search.res_match[search.var_res[col]] < 0
-
-
-def highs_optimum(model):
-    """Maximum weakly stable matching size, proved by HiGHS on the model."""
-    import numpy as np
-    from scipy.optimize import Bounds, LinearConstraint, milp
-    from scipy.sparse import csr_matrix
-
-    rows, cols, vals, rhs = [], [], [], []
-    for r, constraint in enumerate(model.constraints):
-        for col, coeff in constraint.coefficients:
-            rows.append(r)
-            cols.append(col)
-            vals.append(coeff)
-        rhs.append(constraint.rhs)
-    n = model.num_variables
-    matrix = csr_matrix((vals, (rows, cols)), shape=(len(rhs), n))
-    result = milp(
-        c=-np.ones(n),
-        constraints=LinearConstraint(matrix, -np.inf, np.array(rhs, dtype=float)),
-        integrality=np.ones(n),
-        bounds=Bounds(0, 1),
-        options={"time_limit": 60},
-    )
-    assert result.status == 0, result.message
-    return round(-result.fun)
 
 
 def _sfas(n1, tie_density, seed):

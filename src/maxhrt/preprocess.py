@@ -9,24 +9,14 @@ its whole active tie, the tie's residents are provisionally pulled in
 (breaking their previous provisional assignments) and every hospital a
 pulled resident ranks strictly below the offering one is cut from its
 list, with one truncation of that list. The active tie is the first
-nonempty tie after a hospital's least preferred current assignee, or its
-first nonempty tie while it has no assignees. Each round offers from the
-lowest-index eligible hospital. The pass keeps every eligible hospital's
-active tie. Ties keep their original positions, and a tie a hospital has
-offered keeps only the residents it still holds, since a resident that
-leaves for a better hospital loses its pair with this one. So every tie
-after the least preferred assignee's, up to the last tie offered, is
-empty, and the active tie is the first nonempty tie after the last one
-offered. Each hospital keeps a cursor there that only moves forward,
-over ties that stay empty. After an offer, the pass re-derives the
-active tie only for the hospitals whose active tie or vacancies that
-round changed: the offering one, the previous hospitals of the residents
-it pulled in, and those whose active tie lost a resident. A hospital
-that loses a pair in a later tie keeps its active tie, and one that
-loses a pair in a tie it has offered held that resident, so it is a
-previous hospital. A round costs O(n2) to select the offering hospital,
-plus the length of each pulled resident's list and O(1) for each pair it
-deletes; the cursors skip each emptied tie once in the whole pass.
+nonempty tie after the hospital's least preferred assignee's (its first
+while it has none); since a resident that leaves for a better hospital
+loses its pair with this one, that is the first nonempty tie after the
+last one it offered, and offering an emptied tie changes nothing.
+Hospitals are taken from a stack, h1 on top; an offer pushes the
+offering hospital and every hospital that lost a pair, a pulled
+resident's previous one among them. The offer order changes neither the
+deletions nor the result.
 
 Pass two (residents apply): free residents apply down their lists; once
 a hospital has at least as many provisional assignees as capacity, every
@@ -133,44 +123,25 @@ def hospitals_offer(instance: Instance) -> tuple[Instance, set[Pair]]:
 
     assigned: dict[int, int] = {}
     vacancies = list(work.caps)
-    # hospital index -> slot of its first tie after the last one it offered
+    # hospital index -> slot of the first tie it has not offered
     cursor = [0] * instance.n2
-    offers: dict[int, list[int]] = {}  # eligible hospital -> its active tie
-
-    def refresh(j: int) -> None:
+    pending = list(range(instance.n2, 0, -1))  # hospitals to examine, h1 on top
+    while pending:
+        j = pending.pop()
         ties = work.hosp_ties[j - 1]
         pos = cursor[j - 1]
-        while pos < len(ties) and not ties[pos]:
-            pos += 1
-        cursor[j - 1] = pos
-        if pos < len(ties) and len(ties[pos]) <= vacancies[j - 1]:
-            offers[j] = ties[pos]
-        else:
-            offers.pop(j, None)
-
-    for j in range(1, instance.n2 + 1):
-        refresh(j)
-    while offers:
-        j = min(offers)
-        changed = {j}
-        # Only hospitals below j on a resident's list lose pairs, so j's own
-        # tie stays intact while it is walked. A pulled resident's previous
-        # hospital is one of them: it lost every hospital below it when it
-        # took the resident, and j still lists the resident. Of the others,
-        # only those that lose the resident from their active tie change.
-        for r in offers[j]:
+        if pos == len(ties) or len(ties[pos]) > vacancies[j - 1]:
+            continue
+        cursor[j - 1] = pos + 1
+        pending.append(j)
+        # The cuts spare j's own list, so its tie stays whole while walked.
+        for r in ties[pos]:
             previous = assigned.get(r)
             if previous is not None:
                 vacancies[previous - 1] += 1
-                changed.add(previous)
             assigned[r] = j
             vacancies[j - 1] -= 1
-            for h in work.cut_resident_list(r, j):
-                if work.hosp_ranks[h - 1][r] == cursor[h - 1]:
-                    changed.add(h)
-        cursor[j - 1] += 1
-        for h in changed:
-            refresh(h)
+            pending += work.cut_resident_list(r, j)
     return work.to_instance(), work.deleted
 
 

@@ -161,7 +161,7 @@ def test_m1_indicator_feasible(fig1):
 
 
 @pytest.mark.highs
-def test_lp_reimport_matches_oracle_optimum():
+def test_highs_on_rows_matches_oracle_optimum():
     # independent route: the model's rows -> HiGHS, against the oracle's
     # enumeration. The random instances' largest matchings are nearly always
     # weakly stable too, so the first instance is one where they are not: its

@@ -17,6 +17,7 @@ from maxhrt.preprocess import (
 
 from oracle import OracleLimit, enumerate_stable_matchings
 from strategies import carry, relabel
+from test_pool_digests import workloads
 
 ORACLE_LIMIT = OracleLimit(max_residents=10, max_pairs=40)
 
@@ -37,11 +38,12 @@ def random_hospital_ties_instance(rng, max_residents=7):
     )
 
 
-def reference_hospitals_offer(instance):
+def reference_hospitals_offer(instance, pick=min):
     """Pass one as a plain quadratic loop, the reference for the fast pass.
 
     Every round recomputes every hospital's active tie by scanning all of
-    its ties, then offers from the first eligible hospital.
+    its ties, then offers from the hospital that `pick` chooses from the
+    eligible ones, listed by index; by default the first.
     """
     res_lists = [list(p.entries()) for p in instance.residents]
     hosp_groups = [[list(g) for g in h.preferences.groups] for h in instance.hospitals]
@@ -72,7 +74,7 @@ def reference_hospitals_offer(instance):
         eligible = [j for j, tie in ties.items() if 0 < len(tie) <= vacancies[j - 1]]
         if not eligible:
             break
-        j = eligible[0]
+        j = pick(eligible)
         for r in ties[j]:
             previous = assigned.get(r)
             if previous is not None:
@@ -160,6 +162,29 @@ def test_hospitals_offer_matches_reference_on_sfas_like(n1, tie_density):
         expected = reference_hospitals_offer(variant)
         assert hospitals_offer(variant) == expected
         assert expected[1]  # the pass does work on this preset
+
+
+def test_hospitals_offer_matches_reference_in_any_offer_order():
+    # The deletions do not depend on which eligible hospital offers first,
+    # and the pass's own order is not the reference's lowest-index one.
+    rng = random.Random(4545)
+    instances = [random_hospital_ties_instance(rng, max_residents=12) for _ in range(60)]
+    instances += [generate(sfas_like(150, 0.85, seed)) for seed in range(3)]
+    for instance in instances:
+        expected = hospitals_offer(instance)
+        for _ in range(3):
+            assert reference_hospitals_offer(instance, pick=rng.choice) == expected
+
+
+@pytest.mark.parametrize("workload", ["sfas-tied", "sfas-strict-large"])
+def test_both_passes_match_reference_on_pool_instances(workload):
+    # The benchmark's pools with strict resident lists; as in the pipeline,
+    # pass two runs on pass one's output.
+    for config in workloads.WORKLOADS[workload]:
+        instance = generate(config)
+        offered = hospitals_offer(instance)
+        assert offered == reference_hospitals_offer(instance)
+        assert residents_apply(offered[0]) == reference_residents_apply(offered[0])
 
 
 def test_hospitals_offer_matches_reference_when_worst_assignee_is_pulled_away():

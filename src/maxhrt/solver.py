@@ -34,7 +34,7 @@
    entry for each node whose x=0 branch is untried. A node whose fresh
    placement offers no unfixed pair is closed: its bound is the number of
    residents already matched, reached only by the zero completion, which
-   propagation has already stored or rejected. Propagation applies the
+   `_propagate` has already certified. Propagation applies the
    one-hospital-per-resident and capacity rows eagerly; stability rows are
    read as "the resident gets this hospital or better, or the hospital
    fills up with residents it ranks at least as high", which yields both
@@ -161,15 +161,12 @@ class _Search:
         # on i's list dirty. Fixings and undos only mark the resident (once,
         # however many of its pairs change); _scan expands the marked
         # residents to their hospitals, then reads only dirty hospitals. A
-        # clean hospital was scanned in the current state, and hosp_bad keeps
-        # whether its rows allow the zero completion. At the root every
+        # clean hospital was scanned in the current state. At the root every
         # hospital is dirty.
         self.res_dirty = [False] * self.n1
         self.dirty_res: list[int] = []
         self.hosp_dirty = [True] * self.n2
         self.dirty_hosp = list(range(self.n2))
-        self.hosp_bad = [False] * self.n2
-        self.bad_count = 0
 
         # column per resident in the latest relaxation placement (-1: none);
         # diving along it tries to realize the bound, so that proving and
@@ -272,14 +269,16 @@ class _Search:
 
     # -- stability reasoning ----------------------------------------------
 
-    def _scan(self) -> tuple[list[int], bool] | None:
+    def _scan(self) -> list[int] | None:
         """One pass over the stability rows of the dirty hospitals.
 
-        Returns (variables forced to 1, zero-completion feasible) or None
-        on a row that no completion can satisfy. The forced variables and
-        the flag equal those of a pass over every hospital: a clean
-        hospital forces nothing new, since applying what it forced last
-        made it dirty again. A hospital with a conflict stays dirty.
+        Returns the variables forced to 1, or None on a row that no
+        completion can satisfy. They equal those of a pass over every
+        hospital: a clean hospital forces nothing new, since applying what
+        it forced last made it dirty again. A hospital with a conflict
+        stays dirty. A hospital's scan stops at the first tie whose prefix
+        is filled by its ones or holds more open columns than posts: the
+        prefix counts only grow, so no later row can conflict or force.
         """
         state = self.state
         var_res = self.var_res
@@ -290,7 +289,6 @@ class _Search:
         res_vars = self.res_vars
         res_dirty = self.res_dirty
         hosp_dirty = self.hosp_dirty
-        hosp_bad = self.hosp_bad
         dirty_hosp = self.dirty_hosp
         for i in self.dirty_res:
             res_dirty[i] = False
@@ -305,7 +303,6 @@ class _Search:
             j = dirty_hosp[-1]
             c = self.caps[j]
             vs = self.hosp_vars[j]
-            bad = False
             nonzero = ones = 0
             idx = 0
             count = len(vs)
@@ -319,8 +316,8 @@ class _Search:
                         if s == 1:
                             ones += 1
                     idx += 1
-                if ones >= c:
-                    break  # this prefix and every longer one is capacity-filled
+                if ones >= c or nonzero > c:
+                    break
                 for k in range(start, idx):
                     v = vs[k]
                     i = var_res[v]
@@ -328,7 +325,6 @@ class _Search:
                     m = res_match[i]
                     if m >= 0 and var_rrank[m] <= rr:
                         continue
-                    bad = True
                     best = self._best_rank(i)
                     if best > rr:
                         # resident side dead: hospital must fill this prefix
@@ -352,34 +348,26 @@ class _Search:
                             forced.append(candidate)
             dirty_hosp.pop()
             hosp_dirty[j] = False
-            if bad != hosp_bad[j]:
-                hosp_bad[j] = bad
-                self.bad_count += 1 if bad else -1
-        return forced, self.bad_count == 0
+        return forced
 
     def _propagate(self, assignments: list[tuple[int, int]]) -> bool:
         if not self._fix_queue(assignments):
             return False
         while True:
-            result = self._scan()
-            if result is None:
+            forced = self._scan()
+            if forced is None:
                 return False
-            forced, zero_ok = result
             if not forced:
                 break
             if not self._fix_queue([(w, 1) for w in forced]):
                 return False
-        if zero_ok and self.total_ones > self.incumbent_size:
-            self._store_incumbent()
+        if self.total_ones > self.incumbent_size:
+            # the zero completion is feasible exactly when its matching is stable
+            ones = Matching.from_pairs(self.model.pairs[m] for m in self.res_match if m >= 0)
+            if certify(self.model.instance, ones) is None:
+                self.incumbent = ones
+                self.incumbent_size = len(ones)
         return True
-
-    def _store_incumbent(self) -> None:
-        self._adopt(
-            Matching.from_pairs(
-                pair for pair, value in zip(self.model.pairs, self.state) if value == 1
-            ),
-            "search incumbent",
-        )
 
     def _adopt(self, matching: Matching, source: str) -> None:
         """Make a certified matching the incumbent."""
@@ -461,7 +449,7 @@ class _Search:
         # -1 closes the node: the fresh placement leaves every unmatched
         # resident unplaced, so the bound is total_ones, and the only
         # completion that large is the zero one, which _propagate has
-        # already stored or rejected
+        # already certified
         return self._select_guided()
 
     # -- main loop ----------------------------------------------------------

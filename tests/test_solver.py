@@ -163,6 +163,32 @@ def test_search_node_counts(n1, tie_density, seed, objective, nodes, monkeypatch
     assert certify(instance, outcome.matching) is None
 
 
+# With the race off and the warm start and every promotion start pinned to
+# one stable matching, only a search leaf can raise the incumbent: the search
+# alone must reach the optimum, and with no false Optimal below it.
+@pytest.mark.parametrize(
+    "config, start, objective, nodes",
+    [pytest.param(None, 5, 6, 1, id="fig1-from-M0"),
+     pytest.param(GeneratorConfig(5, 4, 5, 2, 0.5, 0.5, seed=983515), 4, 5, 6, id="983515"),
+     pytest.param(GeneratorConfig(8, 3, 8, 2, 0.0, 0.8, seed=352441), 7, 8, 9, id="352441"),
+     pytest.param(GeneratorConfig(7, 4, 7, 2, 0.0, 0.8, seed=283285), 5, 6, 4, id="283285")],
+)
+def test_search_finds_what_the_starts_miss(config, start, objective, nodes, fig1, m0, monkeypatch):
+    if config is None:
+        instance, warm = fig1, m0
+    else:
+        instance = generate(config)
+        warm = warm_start(instance)
+    monkeypatch.setattr("maxhrt.solver.ESCALATE_AFTER_NODES", 10**9)
+    monkeypatch.setattr("maxhrt.solver.promotion_starts", lambda instance: lambda seed: warm)
+    outcome = solve(_model(instance), SolveOptions(warm_start=warm))
+    assert len(warm) == start
+    assert outcome.status is SolveStatus.OPTIMAL
+    assert (outcome.objective, outcome.nodes) == (objective, nodes)
+    assert objective == max_stable_size(instance, OracleLimit(max_pairs=40))
+    assert certify(instance, outcome.matching) is None
+
+
 def test_relabeled_objective_matches_oracle():
     # Relabeling reorders the reductions, the warm start's tie-breaking and
     # the search's branching; the optimum must not move.
@@ -275,8 +301,11 @@ def test_failed_propagation_undoes_to_consistent_counters():
 def reference_scan(search):
     """The stability rows of every hospital read afresh, in the search's state.
 
-    Returns (variables forced to 1, zero-completion feasible) or None, as
-    `_Search._scan` does for the hospitals it marks dirty.
+    Returns (variables forced to 1, zero-completion feasible) or None on a
+    row that no completion can satisfy. The forced variables are those
+    `_Search._scan` returns for the hospitals it marks dirty; the flag is
+    whether every row holds with each open pair at 0, which `core.certify`
+    decides from the matching of the pairs at 1.
     """
     state = search.state
     forced = []
@@ -318,10 +347,6 @@ def reference_scan(search):
     return forced, zero_ok
 
 
-def _scan_summary(result):
-    return None if result is None else (set(result[0]), result[1])
-
-
 def _check_relaxation(search, model):
     """The repaired relaxation equals a solve from an empty start and is a valid placement."""
     fixing = {col: value for col, value in enumerate(search.state) if value >= 0}
@@ -346,16 +371,24 @@ def _check_relaxation(search, model):
 @given(data=st.data())
 def test_incremental_node_evaluation_matches_full(data):
     # Random propagations (some fail) and undos; every scan, inside a
-    # propagation or after a step, must agree with the full scan, and the
+    # propagation or after a step, must force what the full scan forces, the
+    # full scan's zero-completion flag must agree with `certify`, and the
     # relaxation with a solve of the same fixing from an empty start.
     model = _model(data.draw(instances_strategy(max_residents=8, max_hospitals=4)))
     search = _Search(model, SolveOptions())
     scan = search._scan
 
     def checked_scan():
-        expected = _scan_summary(reference_scan(search))
+        expected = reference_scan(search)
+        zero_ok = expected is not None and expected[1]
+        ones = Matching.from_pairs(
+            pair for pair, value in zip(model.pairs, search.state) if value == 1
+        )
+        assert zero_ok == (certify(model.instance, ones) is None)
         result = scan()
-        assert _scan_summary(result) == expected
+        assert (None if result is None else set(result)) == (
+            None if expected is None else set(expected[0])
+        )
         return result
 
     search._scan = checked_scan

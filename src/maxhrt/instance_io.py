@@ -10,6 +10,8 @@ Instance format::
     h1: <capacity>: r2 ( r1 r3 )
     ...
 
+A capacity may also be written in round brackets, as the paper's figures
+do: ``h1: (2): r1 r2`` and ``h1: ( 2 ): r1 r2`` both give h1 two posts.
 Groups in round brackets are ties; a bare id is a strict entry. Tokens are
 whitespace-separated, but brackets glued to ids (as in ``(r4 r5)``) are
 accepted. Ids are ``r`` or ``h`` followed by ASCII digits and must be the

@@ -5,12 +5,14 @@ A placement puts each resident on at most one of its columns not fixed to
 ignoring stability. A resident with `res_match[i] >= 0` is pinned to that
 column. `max_placement` finds a maximum placement, whose size bounds every
 completion of the fixing; `structural_fixings` reads off which open columns
-lie in no maximum placement and which in all of them.
+lie in no maximum placement and which in all of them, from one pass of
+Tarjan's strongly connected components over that placement's residual
+graph with a source and a sink added.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 def max_placement(
@@ -114,10 +116,8 @@ def max_placement(
 
 def structural_fixings(
     caps: Sequence[int],
-    var_res: Sequence[int],
     var_hosp: Sequence[int],
     res_vars: Sequence[Sequence[int]],
-    hosp_vars: Sequence[Sequence[int]],
     state: Sequence[int],
     res_match: Sequence[int],
     place: Sequence[int],
@@ -127,17 +127,19 @@ def structural_fixings(
     `place` must be a maximum placement, as `max_placement` leaves it.
     Returns (column, 0) for each open column of an unpinned resident in no
     maximum placement, and (column, 1) for each column of an unpinned
-    resident in all of them. This is the Dulmage-Mendelsohn structure of
-    `place`, read as a digraph in which an unpinned resident points to the
-    hospitals of its other open columns and a hospital to the unpinned
-    residents it holds. A column off the placement is in some maximum
-    placement exactly when its resident is reachable from an unplaced
-    resident, its hospital reaches a hospital with a spare post, or both
-    ends share a strongly connected component; a placed column is in all
-    of them when its resident has no such column and is not reachable from
-    an unplaced one. Takes O(columns).
+    resident in all of them. This is Régin's reading of the residual graph
+    of `place`, with a source s and a sink t: s points to each unplaced
+    unpinned resident; an unpinned resident to the hospitals of its other
+    open columns, and to s if placed; a hospital to the unpinned residents
+    it holds, and to t if it has a spare post; t to s and to each hospital
+    holding an unpinned resident. A column off the placement is in some
+    maximum placement exactly when its two ends share a strongly connected
+    component; a placed column is in all of them when its resident has no
+    such column and is not in s's component. s shares t's component
+    exactly when an augmenting path exists. Takes O(columns).
     """
     n1, n2 = len(res_vars), len(caps)
+    s, t = n1 + n2, n1 + n2 + 1
     load = [0] * n2
     holders: list[list[int]] = [[] for _ in range(n2)]
     for i, col in enumerate(place):
@@ -145,58 +147,32 @@ def structural_fixings(
             load[var_hosp[col]] += 1
             if res_match[i] < 0:
                 holders[var_hosp[col]].append(i)
+    # node i < n1 is a resident, n1 + j a hospital; out[v - n1] lists the
+    # successors of node v >= n1 (a hospital, s or t)
+    out = [holders[j] + [t] if load[j] < caps[j] else holders[j] for j in range(n2)]
+    out.append([i for i in range(n1) if place[i] < 0 and res_match[i] < 0])
+    out.append([s] + [n1 + j for j in range(n2) if holders[j]])
 
-    def moves(i: int) -> list[int]:
-        """Hospitals of unpinned resident i's open columns off the placement."""
-        return [var_hosp[w] for w in res_vars[i] if w != place[i] and state[w] != 0]
+    def successors(v: int) -> list[int]:
+        if v >= n1:
+            return out[v - n1]
+        moves = [n1 + var_hosp[w] for w in res_vars[v] if w != place[v] and state[w] != 0]
+        return moves + [s] if place[v] >= 0 else moves
 
-    # residents reachable from an unplaced one, and the hospitals passed
-    res_free = [col < 0 for col in place]
-    hosp_free = [False] * n2
-    stack = [i for i in range(n1) if res_free[i]]
-    while stack:
-        for j in moves(stack.pop()):
-            if not hosp_free[j]:
-                hosp_free[j] = True
-                for p in holders[j]:
-                    if not res_free[p]:
-                        res_free[p] = True
-                        stack.append(p)
-
-    # hospitals that reach one with a spare post, and the residents passed
-    hosp_spare = [load[j] < caps[j] for j in range(n2)]
-    res_spare = [False] * n1
-    stack = [j for j in range(n2) if hosp_spare[j]]
-    while stack:
-        for w in hosp_vars[stack.pop()]:
-            i = var_res[w]
-            if state[w] == 0 or w == place[i] or res_spare[i]:
-                continue
-            if place[i] < 0:
-                raise ValueError(f"placement is not maximum: resident {i} has an augmenting path")
-            res_spare[i] = True
-            h = var_hosp[place[i]]
-            if not hosp_spare[h]:
-                hosp_spare[h] = True
-                stack.append(h)
-
-    # node i < n1 is a resident, n1 + j a hospital
-    rest = [res_match[i] < 0 and not (res_free[i] or res_spare[i]) for i in range(n1)]
-    rest += [not (hosp_free[j] or hosp_spare[j]) for j in range(n2)]
-    comp = _strong_components(
-        rest, lambda v: [n1 + j for j in moves(v)] if v < n1 else holders[v - n1]
-    )
+    # every unpinned resident is reached from its hospital or from s
+    comp = _strong_components(t + 1, range(n1, t + 1), successors)
+    if comp[s] == comp[t]:
+        raise ValueError("placement is not maximum: it has an augmenting path")
 
     fixings: list[tuple[int, int]] = []
     for i in range(n1):
-        if res_match[i] >= 0 or res_free[i]:
+        if res_match[i] >= 0 or place[i] < 0:
             continue
-        kept = False
+        kept = comp[i] == comp[s]
         for w in res_vars[i]:
             if w == place[i] or state[w] == 0:
                 continue
-            j = var_hosp[w]
-            if hosp_spare[j] or (rest[i] and comp[i] == comp[n1 + j]):
+            if comp[i] == comp[n1 + var_hosp[w]]:
                 kept = True
             else:
                 fixings.append((w, 0))
@@ -206,21 +182,20 @@ def structural_fixings(
 
 
 def _strong_components(
-    alive: Sequence[bool], successors: Callable[[int], Sequence[int]]
+    n: int, roots: Iterable[int], successors: Callable[[int], Sequence[int]]
 ) -> list[int]:
-    """Strongly connected components of the digraph on the alive nodes.
+    """Strongly connected components of the nodes 0..n-1 reachable from `roots`.
 
-    Iterative Tarjan; edges to nodes not alive are ignored. Returns each
-    alive node's component (the id of one of its members), -1 elsewhere.
+    Iterative Tarjan. Returns each reached node's component (the id of one
+    of its members), -1 elsewhere.
     """
-    n = len(alive)
     comp = [-1] * n
     index = [-1] * n
     low = [0] * n
     stack: list[int] = []
     counter = 0
-    for root in range(n):
-        if not alive[root] or index[root] >= 0:
+    for root in roots:
+        if index[root] >= 0:
             continue
         index[root] = low[root] = counter
         counter += 1
@@ -229,8 +204,6 @@ def _strong_components(
         while frames:
             v, rest = frames[-1]
             for s in rest:
-                if not alive[s]:
-                    continue
                 if index[s] < 0:
                     index[s] = low[s] = counter
                     counter += 1

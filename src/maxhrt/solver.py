@@ -20,13 +20,13 @@
       `SolverInternalError`), then the bound again from a fresh placement.
    d. An incumbent one below the bound leaves only maximum placements of
       the relaxation to find, so the root fixes to 0 every pair in none of
-      them and to 1 every pair in all of them, read off the
-      Dulmage-Mendelsohn structure of one maximum placement (as in Régin's
-      matching-based filtering), then propagates and recomputes the bound
-      until nothing new is fixed. A failed propagation, or a bound that
-      drops to the incumbent, proves the incumbent optimal at the root.
-      These fixings are made before the search's first branch and are
-      never undone.
+      them and to 1 every pair in all of them, read off the strongly
+      connected components of one maximum placement's residual graph with
+      a source and a sink added (Régin's matching-based filtering), then
+      propagates and recomputes the bound until nothing new is fixed. A
+      failed propagation, or a bound that drops to the incumbent, proves
+      the incumbent optimal at the root. These fixings are made before the
+      search's first branch and are never undone.
 3. **Branch and bound**, depth first. Branching picks an unfixed pair of a
    currently unmatched resident, following the relaxation's placement
    (best resident rank first, ties broken by a fixed permutation of the
@@ -419,8 +419,7 @@ class _Search:
     def _structural_fixings(self) -> list[tuple[int, int]]:
         """The fixings every maximum placement agrees on; `self.guide` is one."""
         return structural_fixings(
-            self.caps, self.var_res, self.var_hosp, self.res_vars, self.hosp_vars,
-            self.state, self.res_match, self.guide,
+            self.caps, self.var_hosp, self.res_vars, self.state, self.res_match, self.guide
         )
 
     def _select_guided(self) -> int:

@@ -219,7 +219,7 @@ def test_header_with_non_integer_count_names_line(header):
     assert str(info.value) == f"line 2: malformed header {header!r}, expected '<n1> <n2>'"
 
 
-@pytest.mark.parametrize("capacity", ["²", "--1", "(--1)", "()"])
+@pytest.mark.parametrize("capacity", ["²", "--1", "(--1)", "(x)", "()"])
 def test_capacity_that_is_not_an_integer_names_line(capacity):
     with pytest.raises(ParseError) as info:
         parse_instance(f"1 1\nr1: h1\nh1: {capacity}: r1\n")

@@ -486,11 +486,47 @@ def test_structural_fixings_keep_alternating_cycles():
     assert search._structural_fixings() == []
 
 
+@pytest.mark.parametrize(
+    "n1, tie_density, seed", [(100, 0.85, 7), (150, 0.5, 7), (200, 0.5, 4), (300, 0.5, 5)]
+)
+def test_structural_fixings_at_pipeline_scale(n1, tie_density, seed, monkeypatch):
+    # The brute-force test above stops at 8 residents. At the first root one
+    # below its bound of four benchmark instances, the fixings must be the
+    # pairs whose forcing the other way takes the relaxation below the bound.
+    monkeypatch.setattr("maxhrt.solver.ESCALATE_AFTER_NODES", 10**9)
+    model = _pipeline_model(generate(sfas_like(n1, tie_density, seed)))
+    structural = _Search._structural_fixings
+
+    class AtRoot(Exception):
+        pass
+
+    def checked(search):
+        fixing = {col: value for col, value in enumerate(search.state) if value >= 0}
+        bound = upper_bound(model, fixing)
+        assert search.incumbent_size == bound - 1
+        unfixed = [col for col, value in enumerate(search.state) if value < 0]
+        fixings = structural(search)
+        assert len(fixings) == len(set(fixings))
+        assert set(fixings) == {
+            (col, value) for col in unfixed for value in (0, 1)
+            if upper_bound(model, {**fixing, col: 1 - value}) < bound
+        }
+        raise AtRoot
+
+    monkeypatch.setattr(_Search, "_structural_fixings", checked)
+    with pytest.raises(AtRoot):
+        solve(model, SolveOptions(time_limit=30.0))
+
+
 def test_structural_fixings_reject_a_placement_that_is_not_maximum():
-    # one resident with one open column, left unplaced: an augmenting path
-    message = "placement is not maximum: resident 0 has an augmenting path"
+    message = "placement is not maximum: it has an augmenting path"
+    # one resident with one open column, left unplaced: h0 has a spare post
     with pytest.raises(ValueError, match=message):
-        structural_fixings([1], [0], [0], [[0]], [[0]], [-1], [-1], [-1])
+        structural_fixings([1], [0], [[0]], [-1], [-1], [-1])
+    # unplaced r0 lists only h0, which is full with r1, whose other column
+    # reaches h1 with a spare post
+    with pytest.raises(ValueError, match=message):
+        structural_fixings([1, 1], [0, 0, 1], [[0], [1, 2]], [-1] * 3, [-1, -1], [-1, 1])
 
 
 def test_select_var_refreshes_a_spent_guide():
